@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .degrade import (
-    ALPHA_SET,
     DatasetManifest,
     Reflexivity,
     estimate_reflexivity,
@@ -153,7 +152,6 @@ def _cmd_synth(args) -> int:
         args.clean,
         phi,
         maps_per_image=args.maps,
-        alpha_set=ALPHA_SET,
         seed=args.seed,
         out_dir=args.out,
         jobs=args.jobs,
@@ -205,12 +203,8 @@ def _cmd_remove(args) -> int:
         restored = remove_dust(load_image(path), method, record)
         save_image(restored, out_dir / path.name, bit_depth=8)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(one, paths))
-    else:
-        for path in paths:
-            one(path)
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        list(pool.map(one, paths))
     print(f"restored {len(paths)} images into {out_dir}")
     return 0
 
@@ -248,6 +242,8 @@ def run(argv) -> int:
         return 1
     _setup_logging(args.verbose)
     try:
+        if args.jobs < 1:
+            raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ValidationError, EstimationError) as exc:
         logger.error("%s", exc)

@@ -35,29 +35,8 @@ logger = logging.getLogger(__name__)
 ALPHA_SET = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-@dataclass(frozen=True)
-class TransmissionMap:
-    """Fraction of ground light reaching the sensor; 1 = clear, 0 = opaque."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(f"transmission map must be 2-D, got shape {arr.shape}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValidationError("transmission values outside [0, 1]")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+# Fraction of ground light reaching the sensor; 1 = clear, 0 = opaque.
+TransmissionMap = NoiseField
 
 
 @dataclass(frozen=True)
@@ -274,10 +253,10 @@ def replay_dusty(record: PairRecord) -> Image:
 def generate_pairs(
     clean_dir,
     phi: Reflexivity,
+    out_dir,
     maps_per_image: int = 7,
     alpha_set: Sequence[float] = ALPHA_SET,
     seed: int = 0,
-    out_dir=None,
     ranges: ParamRanges = DEFAULT_RANGES,
     bit_depth: int = 16,
     jobs: int = 1,
@@ -290,8 +269,6 @@ def generate_pairs(
     Parallel and serial runs produce identical bytes because all randomness is
     keyed by the image index, never by scheduling.
     """
-    if out_dir is None:
-        raise ValidationError("out_dir is required")
     if maps_per_image < 1:
         raise ValidationError(f"maps_per_image must be >= 1, got {maps_per_image}")
     alphas = sorted(set(alpha_set))
@@ -333,11 +310,8 @@ def generate_pairs(
             )
         return records
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(synth_one, range(len(clean_paths)), clean_paths))
-    else:
-        chunks = [synth_one(i, p) for i, p in enumerate(clean_paths)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        chunks = list(pool.map(synth_one, range(len(clean_paths)), clean_paths))
     records = [rec for chunk in chunks for rec in chunk]
     logger.info("generated %d dusty images from %d clean", len(records), len(clean_paths))
     return DatasetManifest(records)

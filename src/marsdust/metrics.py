@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,7 @@ def _luminance(img: Image) -> np.ndarray:
     return 0.299 * r + 0.587 * g + 0.114 * b
 
 
-def _min_filter2d(arr: np.ndarray, size: int) -> np.ndarray:
+def min_filter2d(arr: np.ndarray, size: int) -> np.ndarray:
     """Windowed minimum with the window clipped at the image border."""
     half = size // 2
     out = arr
@@ -52,7 +53,7 @@ def _min_filter2d(arr: np.ndarray, size: int) -> np.ndarray:
 
 def dark_channel(img: Image, window: int = _DARK_WINDOW) -> np.ndarray:
     """Per-pixel channel minimum followed by a windowed spatial minimum."""
-    return _min_filter2d(img.data.min(axis=2), window)
+    return min_filter2d(img.data.min(axis=2), window)
 
 
 def dust_index(img: Image, tile: int = 8) -> float:
@@ -163,7 +164,7 @@ class SetSummary:
 class CorpusReport:
     sets: list[SetSummary] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
-    skipped: int = 0
+    skipped: list[dict] = field(default_factory=list)  # {"path", "reason"} per unreadable image
 
     def to_json(self) -> str:
         def enc(v):
@@ -177,6 +178,7 @@ class CorpusReport:
                 for s in self.sets
             ],
             "rows": [{k: enc(v) for k, v in row.items()} for row in self.rows],
+            "skipped": self.skipped,
         }
         return json.dumps(payload, indent=2)
 
@@ -203,8 +205,9 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
     ``sets`` maps label -> directory (or explicit list of paths).  When a
     manifest is given, images whose filename matches a manifest dusty entry
     are scored against their clean counterpart.  Unreadable images are
-    skipped with a warning and counted in ``report.skipped``.  With jobs > 1
-    images are scored in a thread pool; rows keep input order either way.
+    skipped with a warning and listed with the decode error in
+    ``report.skipped``.  Images are scored on ``jobs`` threads; rows keep
+    input order.
     """
     clean_for: dict[str, str] = {}
     if pairs is not None:
@@ -216,7 +219,7 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
             img = load_image(path)
         except DecodeError as exc:
             logger.warning("skipping unreadable image %s: %s", path, exc)
-            return None
+            return {"path": str(path), "reason": str(exc)}
         row = {"set": label, "path": str(path), "dust_index": dust_index(img, tile)}
         ref_path = clean_for.get(path.name)
         if ref_path is not None and label != "clean":
@@ -234,19 +237,14 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
             paths = [Path(p) for p in source]
         if not paths:
             raise ValidationError(f"set '{label}' is empty")
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(lambda p: score_one(label, p), paths))
-        else:
-            rows = [score_one(label, p) for p in paths]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(lambda p: score_one(label, p), paths))
         dust_vals: list[float] = []
         psnr_vals: list[float] = []
         ssim_vals: list[float] = []
         for row in rows:
-            if row is None:
-                report.skipped += 1
+            if "reason" in row:
+                report.skipped.append(row)
                 continue
             dust_vals.append(row["dust_index"])
             if "psnr" in row:

@@ -6,9 +6,9 @@ weighted by persistence**o; the weighted sum is mapped affinely from
 [-sum(persistence**o), +sum(persistence**o)] to [0, 1] and clamped.
 
 Every octave hashes lattice corners through its own 256-entry permutation
-table built by rng.perm256(mix64(seed, octave)), and gradients come from the
-fixed 8-direction set below indexed by (hash & 7).  This makes fields a pure,
-reproducible function of (params, width, height).
+table built by rng.shuffled(list(range(256)), mix64(seed, octave)), and
+gradients come from the fixed 8-direction set below indexed by (hash & 7).
+This makes fields a pure, reproducible function of (params, width, height).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rng import mix64, perm256, splitmix64_at, u01
+from .rng import mix64, shuffled, splitmix64_at, u01
 
 _GRADS = np.array(
     [[1, 1], [-1, 1], [1, -1], [-1, -1], [1, 0], [-1, 0], [0, 1], [0, -1]],
@@ -51,16 +51,17 @@ class PerlinParams:
 
 @dataclass(frozen=True)
 class NoiseField:
-    """Read-only single-channel raster with values in [0, 1]."""
+    """Read-only single-channel raster with values in [0, 1] (Perlin fields and
+    transmission maps alike)."""
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(f"noise field must be 2-D and non-empty, got {arr.shape}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValidationError("noise values outside [0, 1]")
+            raise ValidationError(f"field must be 2-D and non-empty, got {arr.shape}")
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects NaN
+            raise ValidationError("field values outside [0, 1]")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -116,7 +117,7 @@ def perlin2d(params: PerlinParams, width: int, height: int) -> NoiseField:
     for octave in range(params.octaves):
         freq = params.lacunarity**octave / params.scale
         amp = params.persistence**octave
-        table = np.asarray(perm256(mix64(params.seed, octave)), dtype=np.int64)
+        table = np.asarray(shuffled(list(range(256)), mix64(params.seed, octave)), dtype=np.int64)
         total += amp * _raw_octave(xs * freq, ys * freq, table)
         denom += amp
     values = 0.5 + 0.5 * (total / denom)

@@ -29,7 +29,7 @@ from .degrade import (
     make_transmission,
 )
 from .errors import EstimationError, ValidationError
-from .metrics import _min_filter2d
+from .metrics import min_filter2d
 from .noise import perlin2d
 from .raster import Image
 
@@ -111,7 +111,7 @@ def estimate_transmission(
     if np.any(low == 0.0):
         raise EstimationError("atmospheric light has a zero channel; ratio undefined")
     ratio = (H.data / low).min(axis=2)
-    dark = _min_filter2d(ratio, window)
+    dark = min_filter2d(ratio, window)
     values = np.clip(1.0 - omega * dark, t_floor, 1.0)
     return TransmissionMap(values)
 

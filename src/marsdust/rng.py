@@ -11,8 +11,9 @@ bit-identical outputs.  The exact recipes are part of the package contract:
 * ``mix64(a, b)`` combines two values order-sensitively:
   ``finalize(finalize_g(a) ^ (b * 0x9E3779B97F4A7C15))`` with everything
   reduced mod 2**64 (``finalize_g`` includes the golden-ratio increment).
-* ``perm256(seed)`` is a Fisher-Yates shuffle of 0..255 walking i from 255
-  down to 1 with ``j = splitmix64_at(seed, 255 - i) % (i + 1)``.
+* ``shuffled(items, seed)`` is a Fisher-Yates shuffle walking i from
+  ``n - 1`` down to 1 with ``j = splitmix64_at(seed, n - 1 - i) % (i + 1)``;
+  Perlin permutation tables are ``shuffled(list(range(256)), seed)``.
 """
 
 from __future__ import annotations
@@ -43,19 +44,8 @@ def u01(seed: int, index: int) -> float:
     return splitmix64_at(seed, index) / 2.0**64
 
 
-def perm256(seed: int) -> list[int]:
-    """Seeded permutation of 0..255 (Fisher-Yates, splitmix64-driven)."""
-    table = list(range(256))
-    draw = 0
-    for i in range(255, 0, -1):
-        j = splitmix64_at(seed, draw) % (i + 1)
-        draw += 1
-        table[i], table[j] = table[j], table[i]
-    return table
-
-
 def shuffled(items: list, seed: int) -> list:
-    """Return a new list with ``items`` permuted by the same Fisher-Yates walk."""
+    """Return a new list with ``items`` permuted by a seeded Fisher-Yates walk."""
     out = list(items)
     draw = 0
     for i in range(len(out) - 1, 0, -1):

@@ -4,29 +4,35 @@ Small tape-style engine: each op returns a Tensor holding the forward value
 and a closure that scatters the output gradient back to its parents.
 ``backward()`` on a scalar root walks the graph in reverse topological order.
 Graph recording can be suspended with ``no_grad()`` for inference and
-finite-difference loops.
+finite-difference loops; the switch is per thread, so inference on one
+thread never stops another thread's training from recording.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from ..errors import ValidationError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -105,7 +111,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(value, parents, backward) -> Tensor:
-    track = _grad_enabled and any(p.requires_grad for p in parents)
+    track = _grad_mode.enabled and any(p.requires_grad for p in parents)
     out = Tensor(value, requires_grad=track)
     if track:
         out._parents = tuple(parents)

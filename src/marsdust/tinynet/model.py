@@ -30,17 +30,12 @@ class NetConfig:
     ddsc_modules: int = 3
     ddsc_layers: int = 4
     growth: int = 16
-    downsamples: int = 2
     use_global_residual: bool = True
 
     def __post_init__(self):
         for name in ("in_channels", "base_width", "ddsc_modules", "ddsc_layers", "growth"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.downsamples != 2:
-            raise ValidationError(
-                f"downsamples must be 2 (two stride-2 stages), got {self.downsamples}"
-            )
 
     @property
     def bottleneck_width(self) -> int:

@@ -37,7 +37,6 @@ class TrainConfig:
     lr: float = 1e-4
     epochs: int = 30
     seed: int = 0
-    loss: str = "l1"
     patches_per_image: int = 8  # draws per record per epoch; sets the epoch length
     identity_fraction: float = 0.1  # share of samples fed clean->clean, anchoring "no dust, no change"
     beta1: float = 0.9
@@ -54,8 +53,6 @@ class TrainConfig:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.loss != "l1":
-            raise ValidationError(f"unsupported loss {self.loss!r}; only 'l1' is available")
         if self.patches_per_image < 1:
             raise ValidationError("patches_per_image must be >= 1")
         if not 0 <= self.identity_fraction < 1:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,32 @@ class TestBackward:
         with ad.no_grad():
             y = ad.mul(x, x)
         assert y._backward is None and not y.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # A enters, B enters, A exits, B exits: each thread keeps its own switch,
+        # and recording is on again everywhere once both have left.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        recorded = {}
+        x = T((2, 2))
+
+        def thread_a():
+            with ad.no_grad():
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5)
+            with ad.no_grad():
+                b_in.set()
+                a_out.wait(5)
+                recorded["b_inside"] = ad.mul(x, x).requires_grad
+
+        workers = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(10)
+        assert not any(w.is_alive() for w in workers)
+        assert recorded == {"b_inside": False}
+        assert ad.mul(x, x).requires_grad

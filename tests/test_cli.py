@@ -205,6 +205,17 @@ def test_remove_jobs_parallel_identical(workspace, tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_remove_jobs_zero_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "r"
+    code = run([
+        "remove", "--in", str(workspace / "clean"), "--method", "analytic-est",
+        "--out", str(out), "--jobs", "0",
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_parallel_jobs(workspace, tmp_path):
     phi = tmp_path / "phi.json"
     manifest = tmp_path / "m.jsonl"

@@ -77,6 +77,14 @@ class TestTransmission:
         with pytest.raises(ValidationError):
             make_transmission(NoiseField(np.zeros((2, 2))), 1.1)
 
+    @pytest.mark.parametrize("field_type", [NoiseField, TransmissionMap])
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_field_rejects_values_outside_unit_range(self, field_type, bad):
+        arr = np.full((2, 2), 0.5)
+        arr[1, 0] = bad
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            field_type(arr)
+
 
 class TestReflexivity:
     def test_gray_patch_gives_unit_phi(self):

@@ -175,7 +175,8 @@ class TestCorpusReport:
         a, b = image_dirs
         report = corpus_report({"a": a, "b": b})
         payload = json.loads(report.to_json())
-        assert set(payload) == {"sets", "rows"}
+        assert set(payload) == {"sets", "rows", "skipped"}
+        assert payload["skipped"] == []
         for s in payload["sets"]:
             assert {"label", "n", "dust_index_mean", "dust_index_std"} <= set(s)
         for row in payload["rows"]:
@@ -188,15 +189,19 @@ class TestCorpusReport:
             corpus_report({"clean": empty})
 
     def test_unreadable_rows_skipped_with_count(self, image_dirs, caplog):
-        a, _ = image_dirs
-        (a / "broken.png").write_bytes(b"not a png at all")
+        a, b = image_dirs
+        broken = a / "broken.png"
+        broken.write_bytes((b / "y0.png").read_bytes()[:60])  # truncated PNG
         import logging
 
         with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
-            report = corpus_report({"a": a})
-        assert report.skipped == 1
-        assert report.sets[0].n == 3
+            report = corpus_report({"a": a, "b": b})
+        assert [s.n for s in report.sets] == [3, 3]
         assert any("skipping" in rec.message for rec in caplog.records)
+        (skip,) = json.loads(report.to_json())["skipped"]
+        assert skip["path"] == str(broken)
+        assert skip["reason"]
+        assert report.skipped == [skip]
 
     def test_infinite_psnr_serialized_distinctly(self, tmp_path):
         from marsdust.degrade import DatasetManifest, PairRecord

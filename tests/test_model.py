@@ -21,12 +21,10 @@ class TestConfig:
     def test_defaults_match_architecture_contract(self):
         cfg = NetConfig()
         assert cfg.ddsc_modules == 3
-        assert cfg.downsamples == 2
+        assert [n for n in param_shapes(cfg) if n.startswith("down")] == [
+            "down1.w", "down1.b", "down2.w", "down2.b",
+        ]
         assert cfg.bottleneck_width == 64
-
-    def test_downsamples_pinned_to_two(self):
-        with pytest.raises(ValidationError):
-            NetConfig(downsamples=3)
 
     def test_counts_validated(self):
         with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ from marsdust.noise import (
     perlin2d,
     sample_params,
 )
-from marsdust.rng import mix64, perm256, splitmix64_at
+from marsdust.rng import mix64, shuffled, splitmix64_at
 
 
 def test_splitmix_reference_values():
@@ -19,13 +19,16 @@ def test_splitmix_reference_values():
     assert splitmix64_at(0, 2) == 0x06C45D188009454F
 
 
-def test_perm256_is_permutation_and_seeded():
-    t1 = perm256(1234)
-    t2 = perm256(1234)
-    t3 = perm256(1235)
+def test_shuffled_256_is_permutation_and_seeded():
+    t1 = shuffled(list(range(256)), 1234)
+    t2 = shuffled(list(range(256)), 1234)
+    t3 = shuffled(list(range(256)), 1235)
     assert sorted(t1) == list(range(256))
     assert t1 == t2
     assert t1 != t3
+    # Perlin permutation tables: pinned so fields stay bit-identical
+    assert t1[:8] == [132, 125, 181, 69, 17, 13, 184, 32]
+    assert shuffled(list(range(256)), 0)[:8] == [99, 179, 124, 78, 196, 203, 221, 113]
 
 
 class TestPerlin:

@@ -34,10 +34,6 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(patch=30)
 
-    def test_only_l1_loss(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(loss="l2")
-
     def test_lr_positive(self):
         with pytest.raises(ValidationError):
             TrainConfig(lr=0.0)
