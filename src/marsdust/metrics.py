@@ -164,7 +164,7 @@ class SetSummary:
 class CorpusReport:
     sets: list[SetSummary] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)  # {"path", "reason"} per unreadable image
+    skipped: list[dict] = field(default_factory=list)  # {"path", "reason"} per image not scored
 
     def to_json(self) -> str:
         def enc(v):
@@ -204,10 +204,10 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
 
     ``sets`` maps label -> directory (or explicit list of paths).  When a
     manifest is given, images whose filename matches a manifest dusty entry
-    are scored against their clean counterpart.  Unreadable images are
-    skipped with a warning and listed with the decode error in
-    ``report.skipped``.  Images are scored on ``jobs`` threads; rows keep
-    input order.
+    are scored against their clean counterpart.  Unreadable images, and
+    scored images whose clean reference is unreadable, are skipped with a
+    warning and listed with the decode error in ``report.skipped``.
+    Images are scored on ``jobs`` threads; rows keep input order.
     """
     clean_for: dict[str, str] = {}
     if pairs is not None:
@@ -223,7 +223,11 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
         row = {"set": label, "path": str(path), "dust_index": dust_index(img, tile)}
         ref_path = clean_for.get(path.name)
         if ref_path is not None and label != "clean":
-            ref = load_image(ref_path)
+            try:
+                ref = load_image(ref_path)
+            except DecodeError as exc:
+                logger.warning("skipping %s: unreadable clean reference %s: %s", path, ref_path, exc)
+                return {"path": str(path), "reason": f"clean reference {ref_path}: {exc}"}
             if ref.data.shape == img.data.shape:
                 row["psnr"] = psnr(ref, img)
                 row["ssim"] = ssim(ref, img)

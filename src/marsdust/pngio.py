@@ -3,12 +3,19 @@
 Built on stdlib zlib rather than an imaging library because the pipeline
 needs 16-bit RGB round trips and precise, typed decode errors.  The encoder
 always emits filter type 0 scanlines; the decoder understands all five
-standard filters so externally produced files load too.
+standard filters so externally produced files load too.  Images whose rows
+use only None, Sub or Up are unfiltered row by row.  Any Average or Paeth
+row, which libpng picks for nearly every row of a photograph, sends the
+whole image through a wavefront that rebuilds one anti-diagonal of pixels
+per numpy step.  The decoder inflates at most one byte more than the header
+promises and rejects critical chunks it does not know, as the PNG
+specification requires; ancillary chunks are skipped.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -87,6 +94,10 @@ def read_png(path) -> tuple[np.ndarray, int]:
             idat.extend(payload)
         elif tag == b"IEND":
             break
+        # an uppercase first letter marks a critical chunk; PLTE is only a
+        # suggested palette in the truecolor files decoded here
+        elif tag != b"PLTE" and not tag[0] & 0x20:
+            raise DecodeError(f"{path}: unknown critical chunk {tag.decode('latin1')}")
 
     if ihdr is None or len(ihdr) != 13:
         raise DecodeError(f"{path}: missing or malformed IHDR")
@@ -111,12 +122,19 @@ def read_png(path) -> tuple[np.ndarray, int]:
     channels = 1 if color_type == 0 else 3
     bpp = channels * (depth // 8)
     row_bytes = width * bpp
+    expected = height * (1 + row_bytes)
+    if expected >= sys.maxsize:
+        raise DecodeError(f"{path}: image {width}x{height} too large to address")
+    inflater = zlib.decompressobj()
     try:
-        plain = zlib.decompress(bytes(idat))
+        # inflate at most one byte past the image, so a bomb cannot fill memory
+        plain = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise DecodeError(f"{path}: corrupt compressed image data ({exc})") from exc
-    if len(plain) != height * (1 + row_bytes):
+    if len(plain) != expected:
         raise DecodeError(f"{path}: image data length mismatch")
+    if not inflater.eof:
+        raise DecodeError(f"{path}: corrupt compressed image data (truncated stream)")
 
     raw = np.frombuffer(plain, dtype=np.uint8).reshape(height, 1 + row_bytes)
     recon = _unfilter(raw, row_bytes, bpp, path)
@@ -129,51 +147,61 @@ def read_png(path) -> tuple[np.ndarray, int]:
 
 
 def _unfilter(raw: np.ndarray, row_bytes: int, bpp: int, path) -> np.ndarray:
+    filters = raw[:, 0]
+    invalid = np.flatnonzero(filters > 4)
+    if invalid.size:
+        raise DecodeError(f"{path}: invalid scanline filter type {filters[invalid[0]]}")
+    if (filters >= 3).any():
+        return _unfilter_wavefront(raw, row_bytes // bpp, bpp)
     height = raw.shape[0]
     recon = np.zeros((height, row_bytes), dtype=np.uint8)
     prev = np.zeros(row_bytes, dtype=np.int64)
     for y in range(height):
-        ftype = int(raw[y, 0])
+        ftype = int(filters[y])
         line = raw[y, 1:].astype(np.int64)
         if ftype == 0:
             rec = line
         elif ftype == 1:  # Sub: per-lane prefix sum mod 256
             rec = np.cumsum(line.reshape(-1, bpp), axis=0).reshape(-1) % 256
-        elif ftype == 2:  # Up
+        else:  # Up
             rec = (line + prev) % 256
-        elif ftype == 3:  # Average
-            rec = _unfilter_average(line, prev, bpp)
-        elif ftype == 4:  # Paeth
-            rec = _unfilter_paeth(line, prev, bpp)
-        else:
-            raise DecodeError(f"{path}: invalid scanline filter type {ftype}")
         recon[y] = rec
         prev = rec
     return recon
 
 
-def _unfilter_average(line: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:
-    width = line.size // bpp
-    rec = line.reshape(width, bpp).copy()
-    up = prev.reshape(width, bpp)
-    left = np.zeros(bpp, dtype=np.int64)
-    for x in range(width):
-        rec[x] = (rec[x] + (left + up[x]) // 2) % 256
-        left = rec[x]
-    return rec.reshape(-1)
+def _unfilter_wavefront(raw: np.ndarray, width: int, bpp: int) -> np.ndarray:
+    """Undo any mix of the five filters, one anti-diagonal of pixels per step.
 
-
-def _unfilter_paeth(line: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:
-    width = line.size // bpp
-    rec = line.reshape(width, bpp).copy()
-    up = prev.reshape(width, bpp)
-    left = np.zeros(bpp, dtype=np.int64)
-    upleft = np.zeros(bpp, dtype=np.int64)
-    for x in range(width):
-        p = left + up[x] - upleft
-        pa, pb, pc = np.abs(p - left), np.abs(p - up[x]), np.abs(p - upleft)
-        pred = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up[x], upleft))
-        rec[x] = (rec[x] + pred) % 256
-        left = rec[x]
-        upleft = up[x].astype(np.int64)
-    return rec.reshape(-1)
+    A pixel (y, x) is predicted from (y, x-1), (y-1, x) and (y-1, x-1) only,
+    so the pixels with equal x + y are independent of each other and every
+    row advances by one pixel per numpy step, with its own filter.
+    ``diag[d % 2][y + 1]`` holds pixel (y, d - y) while diagonals d and d + 1
+    are being built.  Slot 0 is the zero row above the image, and a row's
+    slot stays zero until the wavefront enters that row: the zero pixel to
+    the left of column 0.  Slots of rows the wavefront has left are stale
+    but never read.
+    """
+    height = raw.shape[0]
+    filters = raw[:, :1]
+    residuals = raw[:, 1:].reshape(height * width, bpp)
+    recon = np.empty((height, width * bpp), dtype=np.uint8)
+    pixels_out = recon.reshape(height * width, bpp)
+    masks = [(ftype, mask) for ftype in range(4) if (mask := filters == ftype).any()]
+    diag = np.zeros((2, height + 1, bpp), dtype=np.int16)
+    for k in range(height + width - 1):
+        lo, hi = max(0, k - width + 1), min(height, k + 1)
+        last, before = diag[(k + 1) % 2], diag[k % 2]
+        left, up, upleft = last[lo + 1 : hi + 1], last[lo:hi], before[lo:hi]
+        pa, pb, pc = np.abs(up - upleft), np.abs(left - upleft), np.abs(left + up - 2 * upleft)
+        pred = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))  # Paeth
+        others = (0, left, up, (left + up) >> 1)  # None, Sub, Up, Average
+        for ftype, mask in masks:
+            np.copyto(pred, others[ftype], where=mask[lo:hi])
+        # pixel (y, k - y) has flat index k + y * (width - 1)
+        pixels = slice(k + lo * (width - 1), k + (hi - 1) * (width - 1) + 1, max(width - 1, 1))
+        pred += residuals[pixels]
+        pred &= 255
+        pixels_out[pixels] = pred
+        before[lo + 1 : hi + 1] = pred
+    return recon

@@ -3,8 +3,12 @@
 Clean images are procedural Mars-like terrain (warm palette, shadowed relief)
 so that estimation heuristics have realistic dark structure to work with.
 The corpus and the trained model are session-scoped: training runs once and
-is reused by every test that needs a learned model.
+is reused by every test that needs a learned model.  ``png_blob`` assembles
+hand-built PNG files without going through ``marsdust.pngio``.
 """
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -43,6 +47,16 @@ def make_dust_patches(seed: int, count: int = 6, size: int = 32) -> list[Image]:
         img = np.stack([level, 0.80 * level, 0.62 * level], axis=-1)
         patches.append(Image(np.clip(img, 0.0, 1.0)))
     return patches
+
+
+def png_blob(ihdr: bytes, idat: bytes, extra=()) -> bytes:
+    """A PNG file: signature, IHDR, the ``(tag, payload)`` chunks in ``extra``, one IDAT, IEND."""
+    chunks = [(b"IHDR", ihdr), *extra, (b"IDAT", idat), (b"IEND", b"")]
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(payload)) + tag + payload
+        + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
+        for tag, payload in chunks
+    )
 
 
 TRAIN_CLEAN = 25

@@ -239,6 +239,34 @@ def test_eval_missing_pairs_file_exits_2(workspace, tmp_path):
     assert code == 2
 
 
+def test_eval_skips_image_whose_clean_reference_is_truncated(workspace, tmp_path):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    for src in sorted((workspace / "clean").glob("*.png")):
+        (clean / src.name).write_bytes(src.read_bytes())
+    phi = tmp_path / "phi.json"
+    dusty = tmp_path / "dusty"
+    manifest = tmp_path / "pairs.jsonl"
+    assert run(["estimate-phi", "--patches", str(workspace / "patches"), "--out", str(phi)]) == 0
+    assert run([
+        "synth", "--clean", str(clean), "--phi", str(phi),
+        "--maps", "1", "--out", str(dusty), "--manifest", str(manifest), "--seed", "2",
+    ]) == 0
+    broken = clean / "c0.png"
+    broken.write_bytes(broken.read_bytes()[:60])
+    (victim,) = [r.dusty for r in DatasetManifest.load(manifest).records if r.clean == str(broken)]
+    report_path = tmp_path / "report.json"
+    assert run([
+        "eval", "--sets", f"dusty={dusty}", "--pairs", str(manifest), "--out", str(report_path),
+    ]) == 0
+    payload = json.loads(report_path.read_text())
+    (skip,) = payload["skipped"]
+    assert skip["path"] == victim
+    assert str(broken) in skip["reason"] and "truncated" in skip["reason"]
+    assert [s["n"] for s in payload["sets"]] == [2]
+    assert victim not in [row["path"] for row in payload["rows"]]
+
+
 def test_learned_pipeline_on_desk_corpus(desk_corpus, trained_model, tmp_path):
     """remove --method learned + eval on the held-out desk set, via the CLI."""
     restored = tmp_path / "restored"

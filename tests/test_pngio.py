@@ -1,0 +1,194 @@
+"""PNG decoder tests against an independent, test-side encoder.
+
+``encode_png`` writes 8- or 16-bit gray or RGB scanlines with a given filter
+type per row, or with libpng's default per-row choice, so the decoder sees
+the Average and Paeth rows that files from other tools carry.  It and the
+chunk writer ``png_blob`` in ``conftest.py`` share no code with
+``marsdust.pngio``.
+"""
+
+import hashlib
+import struct
+import tracemalloc
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from marsdust.errors import DecodeError
+from marsdust.pngio import read_png
+
+from conftest import make_clean_image, png_blob
+
+def filter_residuals(rows: np.ndarray, bpp: int) -> np.ndarray:
+    """Filtered bytes of every row under each of the five PNG filters.
+
+    ``rows`` is uint8 (height, row_bytes); returns uint8 (5, height, row_bytes)
+    indexed by filter type.  Predictors follow the PNG specification, with the
+    byte ``bpp`` to the left and the row above read as 0 outside the image.
+    """
+    raw = rows.astype(np.int16)
+    left = np.zeros_like(raw)
+    left[:, bpp:] = raw[:, :-bpp]
+    up = np.zeros_like(raw)
+    up[1:] = raw[:-1]
+    upleft = np.zeros_like(raw)
+    upleft[1:, bpp:] = raw[:-1, :-bpp]
+    p = left + up - upleft
+    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
+    predictors = np.stack((np.zeros_like(raw), left, up, (left + up) // 2, paeth))
+    return ((raw - predictors) % 256).astype(np.uint8)
+
+
+def libpng_filters(residuals: np.ndarray) -> np.ndarray:
+    """libpng's default choice: per row, the smallest sum of signed absolute residuals."""
+    signed_abs = np.minimum(residuals, 256 - residuals.astype(np.int32))
+    return np.argmin(signed_abs.sum(axis=2, dtype=np.int64), axis=0)
+
+
+def encode_png(samples: np.ndarray, bit_depth: int, filters=None) -> tuple[bytes, np.ndarray]:
+    """Encode (height, width, channels) samples; return the file bytes and the row filters.
+
+    ``filters`` gives one filter type per row; ``None`` picks libpng's choice.
+    A type outside 0..4 is written as-is over unfiltered bytes.
+    """
+    height, width, channels = samples.shape
+    dtype = np.uint8 if bit_depth == 8 else np.dtype(">u2")
+    rows = np.ascontiguousarray(samples, dtype=dtype).view(np.uint8).reshape(height, -1)
+    residuals = filter_residuals(rows, channels * bit_depth // 8)
+    if filters is None:
+        filters = libpng_filters(residuals)
+    filters = np.asarray(filters, dtype=np.uint8)
+    scanlines = np.empty((height, 1 + rows.shape[1]), dtype=np.uint8)
+    scanlines[:, 0] = filters
+    scanlines[:, 1:] = residuals[np.where(filters < 5, filters, 0), np.arange(height)]
+    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, 0 if channels == 1 else 2, 0, 0, 0)
+    return png_blob(ihdr, zlib.compress(scanlines.tobytes(), 6)), filters
+
+
+def random_samples(seed: int, height: int, width: int, channels: int, bit_depth: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    return rng.integers(0, 2**bit_depth, size=(height, width, channels), dtype=dtype)
+
+
+def terrain_samples(seed: int, size: int) -> np.ndarray:
+    return np.floor(make_clean_image(seed, size, size).data * 255 + 0.5).astype(np.uint8)
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    height=st.integers(1, 17),
+    width=st.integers(1, 17),
+    channels=st.sampled_from([1, 3]),
+    bit_depth=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_round_trip_random_filter_mix(tmp_path, height, width, channels, bit_depth, seed, data):
+    filters = data.draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+    samples = random_samples(seed, height, width, channels, bit_depth)
+    blob, _ = encode_png(samples, bit_depth, filters)
+    path = tmp_path / "mix.png"
+    path.write_bytes(blob)
+    decoded, depth = read_png(path)
+    assert depth == bit_depth
+    assert decoded.dtype == samples.dtype
+    assert np.array_equal(decoded, samples)
+
+
+@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_every_row_one_filter_type(tmp_path, ftype, channels, bit_depth):
+    samples = random_samples(ftype, 9, 11, channels, bit_depth)
+    blob, _ = encode_png(samples, bit_depth, [ftype] * 9)
+    (tmp_path / "f.png").write_bytes(blob)
+    decoded, _ = read_png(tmp_path / "f.png")
+    assert np.array_equal(decoded, samples)
+
+
+def test_libpng_mix_on_terrain_matches_golden(tmp_path):
+    samples = terrain_samples(4242, 64)
+    blob, filters = encode_png(samples, 8)
+    assert {3, 4} <= set(filters.tolist())  # the mix reaches the Average and Paeth paths
+    (tmp_path / "terrain.png").write_bytes(blob)
+    decoded, depth = read_png(tmp_path / "terrain.png")
+    assert depth == 8 and np.array_equal(decoded, samples)
+    digest = hashlib.sha256(decoded.tobytes()).hexdigest()
+    assert digest == "f477415f5019411d978e52df67a70dc83120992d13fd0a9a1f27f7555f75d2fb"
+
+
+@pytest.mark.parametrize("filters", [[5, 0, 0, 0], [4, 4, 5, 3]], ids=["row0", "after-paeth"])
+def test_filter_type_5_rejected(tmp_path, filters):
+    blob, _ = encode_png(random_samples(1, 4, 5, 3, 8), 8, filters)
+    (tmp_path / "bad.png").write_bytes(blob)
+    with pytest.raises(DecodeError, match="invalid scanline filter type 5"):
+        read_png(tmp_path / "bad.png")
+
+
+def test_decompression_bomb_rejected_in_bounded_memory(tmp_path):
+    # a 1x1 gray image needs 2 bytes of image data; this IDAT inflates to 64 MiB
+    packer = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join(packer.compress(zeros) for _ in range(64)) + packer.flush()
+    path = tmp_path / "bomb.png"
+    path.write_bytes(png_blob(struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0), idat))
+    del zeros
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match="image data length mismatch"):
+            read_png(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_unaddressable_dimensions_rejected(tmp_path):
+    ihdr = struct.pack(">IIBBBBB", 2**31 - 1, 2**31 - 1, 16, 2, 0, 0, 0)
+    path = tmp_path / "huge.png"
+    path.write_bytes(png_blob(ihdr, zlib.compress(bytes(10))))
+    with pytest.raises(DecodeError, match="too large"):
+        read_png(path)
+
+
+def test_short_image_data_rejected(tmp_path):
+    idat = zlib.compress(b"\x00\x10\x20")  # 3 bytes where a 3x1 gray image needs 4
+    path = tmp_path / "short.png"
+    path.write_bytes(png_blob(struct.pack(">IIBBBBB", 3, 1, 8, 0, 0, 0, 0), idat))
+    with pytest.raises(DecodeError, match="image data length mismatch"):
+        read_png(path)
+
+
+def test_truncated_stream_rejected(tmp_path):
+    idat = zlib.compress(b"\x00\x10\x20\x30")[:-4]  # image bytes complete, checksum cut
+    path = tmp_path / "cut.png"
+    path.write_bytes(png_blob(struct.pack(">IIBBBBB", 3, 1, 8, 0, 0, 0, 0), idat))
+    with pytest.raises(DecodeError, match="corrupt compressed image data"):
+        read_png(path)
+
+
+def test_unknown_critical_chunk_rejected(tmp_path):
+    ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+    path = tmp_path / "cgbi.png"
+    path.write_bytes(png_blob(ihdr, zlib.compress(b"\x00\x7f"), extra=[(b"CgBI", b"\x00" * 4)]))
+    with pytest.raises(DecodeError, match="unknown critical chunk CgBI"):
+        read_png(path)
+
+
+def test_ancillary_chunks_and_suggested_palette_skipped(tmp_path):
+    samples = random_samples(9, 3, 4, 3, 8)
+    ihdr = struct.pack(">IIBBBBB", 4, 3, 8, 2, 0, 0, 0)
+    rows = np.concatenate([np.zeros((3, 1), np.uint8), samples.reshape(3, -1)], axis=1)
+    extra = [(b"tEXt", b"Comment\x00orbiter frame"), (b"PLTE", b"\x00\x00\x00\xff\xff\xff"), (b"prVt", b"x")]
+    path = tmp_path / "anc.png"
+    path.write_bytes(png_blob(ihdr, zlib.compress(rows.tobytes()), extra))
+    decoded, _ = read_png(path)
+    assert np.array_equal(decoded, samples)

@@ -1,9 +1,14 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from marsdust.errors import BoundsError, DecodeError, ValidationError
 from marsdust.pngio import write_png
 from marsdust.raster import Image, PatchRegion, augment, crop_patch, load_image, save_image
+
+from conftest import png_blob
 
 
 def random_image(seed, h=17, w=23, c=3):
@@ -113,88 +118,29 @@ class TestCodec:
             load_image(p)
 
     def test_alpha_rejected_naming_property(self, tmp_path):
-        import struct
-        import zlib
-
         # hand-build a 1x1 RGBA PNG (color type 6)
-        def chunk(tag, payload):
-            return (
-                struct.pack(">I", len(payload))
-                + tag
-                + payload
-                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-            )
-
         ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 6, 0, 0, 0)
-        idat = zlib.compress(b"\x00\x10\x20\x30\xff")
-        blob = b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
         p = tmp_path / "rgba.png"
-        p.write_bytes(blob)
+        p.write_bytes(png_blob(ihdr, zlib.compress(b"\x00\x10\x20\x30\xff")))
         with pytest.raises(DecodeError, match="alpha"):
             load_image(p)
 
     def test_palette_rejected(self, tmp_path):
-        import struct
-        import zlib
-
-        def chunk(tag, payload):
-            return (
-                struct.pack(">I", len(payload))
-                + tag
-                + payload
-                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-            )
-
         ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 3, 0, 0, 0)
-        blob = (
-            b"\x89PNG\r\n\x1a\n"
-            + chunk(b"IHDR", ihdr)
-            + chunk(b"PLTE", b"\x00\x00\x00")
-            + chunk(b"IDAT", zlib.compress(b"\x00\x00"))
-            + chunk(b"IEND", b"")
-        )
         p = tmp_path / "pal.png"
-        p.write_bytes(blob)
+        p.write_bytes(png_blob(ihdr, zlib.compress(b"\x00\x00"), extra=[(b"PLTE", b"\x00\x00\x00")]))
         with pytest.raises(DecodeError, match="palette"):
             load_image(p)
 
     def test_low_bit_depth_rejected_naming_depth(self, tmp_path):
-        import struct
-        import zlib
-
-        def chunk(tag, payload):
-            return (
-                struct.pack(">I", len(payload))
-                + tag
-                + payload
-                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-            )
-
         ihdr = struct.pack(">IIBBBBB", 8, 1, 4, 0, 0, 0, 0)
-        blob = (
-            b"\x89PNG\r\n\x1a\n"
-            + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(b"\x00\x12\x34\x56\x78"))
-            + chunk(b"IEND", b"")
-        )
         p = tmp_path / "lowdepth.png"
-        p.write_bytes(blob)
+        p.write_bytes(png_blob(ihdr, zlib.compress(b"\x00\x12\x34\x56\x78")))
         with pytest.raises(DecodeError, match="bit depth 4"):
             load_image(p)
 
     def test_decodes_sub_and_up_filters(self, tmp_path):
         # foreign encoders may use any filter; exercise Sub(1) and Up(2)
-        import struct
-        import zlib
-
-        def chunk(tag, payload):
-            return (
-                struct.pack(">I", len(payload))
-                + tag
-                + payload
-                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-            )
-
         rows = np.array([[10, 20, 30, 40], [15, 25, 35, 45]], dtype=np.uint8)
         raw = bytearray()
         raw.append(1)  # Sub
@@ -203,14 +149,8 @@ class TestCodec:
         raw.append(2)  # Up
         raw.extend(int(v) % 256 for v in rows[1].astype(int) - rows[0].astype(int))
         ihdr = struct.pack(">IIBBBBB", 4, 2, 8, 0, 0, 0, 0)
-        blob = (
-            b"\x89PNG\r\n\x1a\n"
-            + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(bytes(raw)))
-            + chunk(b"IEND", b"")
-        )
         p = tmp_path / "filters.png"
-        p.write_bytes(blob)
+        p.write_bytes(png_blob(ihdr, zlib.compress(bytes(raw))))
         img = load_image(p)
         assert np.array_equal(np.round(img.data[:, :, 0] * 255).astype(int), rows)
 
