@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -107,6 +108,48 @@ class TestPrimitives:
 
     def test_abs_off_tie(self):
         check_op(lambda x: ad.absval(x), [T((4, 4), lo=0.2, hi=1.0)])
+
+
+def dyadic(shape, seed):
+    """float32 multiples of 1/8 in [-2, 2]: every product and sum in the conv
+    below is exact, so its digests do not depend on the BLAS summation order."""
+    ints = np.random.default_rng(seed).integers(-16, 17, shape)
+    return Tensor((ints / 8).astype(np.float32), requires_grad=True)
+
+
+class TestConvGoldens:
+    """sha256 of conv2d's output and x/w/b gradients, pinned from the tap-loop im2col."""
+
+    @pytest.mark.parametrize(
+        "kernel, stride, pad, want",
+        [
+            (3, 1, 1, [
+                "4b9ffcc2f0875cf33f9102c83a52d17311f2f5bb3e0026fcccc503204ac13d2b",
+                "c029c45491fd48e564a0eaa1493dc954c653fcdf0b211bd1df2f3f2d682f66d1",
+                "14fc814910436c716c36be715b311782fb9e81217c312f166d80f1a20b51f1e5",
+                "277aa77405c329c57f00ee44cc36dccd292c1e228cb252f647cef8f0d0aa40d0",
+            ]),
+            (3, 2, 1, [
+                "2ced37b3e2019d94c630ba871d815550af0ba11f4bace82b4d0316d289374319",
+                "d2492b52b33118f8cd593dd5fa8be274f3c2086b09b7a44b2eb222a05756212a",
+                "9f7fdf2137c91af8c81b589dbef0b4fe883cc51e54dcc256f0bde1d59a29be1a",
+                "d2744674f3aab5f6bac5850913a979b233563cc66fde7b7c0fbc470b9a93f882",
+            ]),
+            (1, 1, 0, [
+                "dcb3b2f26b1db1fef2d41bf1a6c6cd83bee30711e2872523d987cbe3037ac498",
+                "e4565730220d8e2ecf430b341fa7d1879ac3c57761a6ec5e24e14e10ad61b034",
+                "c2af2b47dfd3e95ff9b3599c39740be55ceb0f17ae4dcd6d7c7f7a4d03fc6cb9",
+                "277aa77405c329c57f00ee44cc36dccd292c1e228cb252f647cef8f0d0aa40d0",
+            ]),
+        ],
+    )
+    def test_output_and_gradient_digests(self, kernel, stride, pad, want):
+        x, w, b = dyadic((2, 4, 8, 8), 1), dyadic((4, 4, kernel, kernel), 2), dyadic((4,), 3)
+        y = ad.conv2d(x, w, b, stride, pad)
+        probe = Tensor(dyadic(y.shape, 4).data)  # y.size is a power of two, so 1/n is exact
+        ad.mean_all(ad.mul(y, probe)).backward()
+        got = [hashlib.sha256(a.tobytes()).hexdigest() for a in (y.data, x.grad, w.grad, b.grad)]
+        assert got == want
 
 
 class TestMeanAndLoss:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from marsdust.degrade import AtmosphericLight, make_transmission, synthesize_dusty
 from marsdust.errors import ValidationError
-from marsdust.metrics import corpus_report, dust_index, psnr, ssim
+from marsdust.metrics import corpus_report, dark_channel, dust_index, min_filter2d, psnr, ssim
 from marsdust.noise import perlin2d, sample_params
 from marsdust.raster import Image, augment, save_image
 from marsdust.rng import mix64
@@ -137,6 +138,50 @@ class TestSsim:
     def test_window_size_guard(self):
         with pytest.raises(ValidationError):
             ssim(Image(np.zeros((8, 8, 1))), Image(np.zeros((8, 8, 1))))
+
+
+def golden_frames():
+    """A non-square clean terrain frame and the same frame under synthetic dust.
+
+    70x61 leaves a partial tile on both axes for the dust index.
+    """
+    clean = make_clean_image(61, 70, 61)
+    field = perlin2d(sample_params(mix64(62, 0)), 70, 61)
+    light = AtmosphericLight(tuple(p * float(clean.data.max()) for p in (1.0, 0.8, 0.62)))
+    return clean, synthesize_dusty(clean, make_transmission(field, 0.8), light)
+
+
+def sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+class TestGoldens:
+    """Outputs pinned from the shifted-copy and per-tile loop implementations.
+
+    Window minima are exact, so they are pinned by digest; the dust index and
+    SSIM sum in a different order once vectorised, so they are pinned to
+    1e-14 absolute.
+    """
+
+    def test_dark_channel_digest(self):
+        clean, dusty = golden_frames()
+        assert sha256(dark_channel(clean)) == "cb3b3b43ef3197d5691fb5a72f9de4344f87e7ad6f8444bc87528ce233cdf610"
+        assert sha256(dark_channel(dusty)) == "b0e47aa91fccdd9926ff0158f81e52f908457dc837f37a8d48a0ba3d7ad60768"
+
+    def test_min_filter_15_digest(self):
+        clean, _ = golden_frames()
+        assert sha256(min_filter2d(clean.data[:, :, 1], 15)) == "10bde511357552f27a1cfab51e17bbbc18679ce8236d8956f074ec583e37b7f1"
+
+    def test_dust_index_values(self):
+        clean, dusty = golden_frames()
+        assert abs(dust_index(clean) - 0.22488965720006743) <= 1e-14
+        assert abs(dust_index(dusty) - 0.43797183645269044) <= 1e-14
+
+    def test_ssim_values(self):
+        clean, dusty = golden_frames()
+        assert abs(ssim(clean, dusty) - 0.7363729259515535) <= 1e-14
+        gray = lambda img: Image(img.data[:, :, :1])
+        assert abs(ssim(gray(dusty), gray(clean)) - 0.7664586619666645) <= 1e-14
 
 
 class TestCorpusReport:
