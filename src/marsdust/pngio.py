@@ -3,13 +3,12 @@
 Built on stdlib zlib rather than an imaging library because the pipeline
 needs 16-bit RGB round trips and precise, typed decode errors.  The encoder
 always emits filter type 0 scanlines; the decoder understands all five
-standard filters so externally produced files load too.  Images whose rows
-use only None, Sub or Up are unfiltered row by row.  Any Average or Paeth
-row, which libpng picks for nearly every row of a photograph, sends the
-whole image through a wavefront that rebuilds one anti-diagonal of pixels
-per numpy step.  The decoder inflates at most one byte more than the header
-promises and rejects critical chunks it does not know, as the PNG
-specification requires; ancillary chunks are skipped.
+standard filters so externally produced files load too.  Images with any
+filtered row, such as the Average and Paeth rows libpng picks for nearly
+every row of a photograph, go through a wavefront that rebuilds one
+anti-diagonal of pixels per numpy step.  The decoder inflates at most one
+byte more than the header promises and rejects critical chunks it does not
+know, as the PNG specification requires; ancillary chunks are skipped.
 """
 
 from __future__ import annotations
@@ -151,23 +150,9 @@ def _unfilter(raw: np.ndarray, row_bytes: int, bpp: int, path) -> np.ndarray:
     invalid = np.flatnonzero(filters > 4)
     if invalid.size:
         raise DecodeError(f"{path}: invalid scanline filter type {filters[invalid[0]]}")
-    if (filters >= 3).any():
-        return _unfilter_wavefront(raw, row_bytes // bpp, bpp)
-    height = raw.shape[0]
-    recon = np.zeros((height, row_bytes), dtype=np.uint8)
-    prev = np.zeros(row_bytes, dtype=np.int64)
-    for y in range(height):
-        ftype = int(filters[y])
-        line = raw[y, 1:].astype(np.int64)
-        if ftype == 0:
-            rec = line
-        elif ftype == 1:  # Sub: per-lane prefix sum mod 256
-            rec = np.cumsum(line.reshape(-1, bpp), axis=0).reshape(-1) % 256
-        else:  # Up
-            rec = (line + prev) % 256
-        recon[y] = rec
-        prev = rec
-    return recon
+    if not filters.any():
+        return raw[:, 1:].copy()
+    return _unfilter_wavefront(raw, row_bytes // bpp, bpp)
 
 
 def _unfilter_wavefront(raw: np.ndarray, width: int, bpp: int) -> np.ndarray:

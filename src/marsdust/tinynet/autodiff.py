@@ -55,9 +55,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ValidationError(
@@ -82,16 +79,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar used by the model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
 def _accum(t: Tensor, g: np.ndarray):
@@ -251,13 +238,11 @@ def spatial_mean(x: Tensor) -> Tensor:
     return _node(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.data.dtype), (x,), bw)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    b, c = xp.shape[0], xp.shape[1]
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(b, c * kh * kw, oh * ow)
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(B, C*kh*kw, oh*ow) patch columns; a view when kh = kw = stride = 1."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    b, c, oh, ow = win.shape[:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -269,12 +254,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     w2d = w.data.reshape(o, -1)
-
-    if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-        cols = x.data.reshape(bs, c, h * wd)
-    else:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        cols = _im2col(xp, kh, kw, stride, oh, ow)
+    xp = x.data
+    if pad:  # np.pad copies even for zero padding, and the graph would keep the copy
+        xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = _im2col(xp, kh, kw, stride)
     y = (w2d @ cols).reshape(bs, o, oh, ow)
     y += b.data.reshape(1, o, 1, 1)
 
@@ -286,18 +269,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             dw = np.tensordot(gf, cols, axes=([0, 2], [0, 2]))
             _accum(w, dw.reshape(w.data.shape))
         if x.requires_grad:
-            dcols = w2d.T @ gf  # (B, C*kh*kw, oh*ow)
-            if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-                _accum(x, dcols.reshape(x.data.shape))
-            else:
-                dxp = np.zeros((bs, c, h + 2 * pad, wd + 2 * pad), dtype=x.data.dtype)
-                dc = dcols.reshape(bs, c, kh, kw, oh, ow)
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dc[:, :, i, j]
-                if pad:
-                    dxp = dxp[:, :, pad:-pad, pad:-pad]
-                _accum(x, dxp)
+            dc = (w2d.T @ gf).reshape(bs, c, kh, kw, oh, ow)
+            dxp = np.zeros((bs, c, h + 2 * pad, wd + 2 * pad), dtype=x.data.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dc[:, :, i, j]
+            _accum(x, dxp[:, :, pad : pad + h, pad : pad + wd])
 
     return _node(y, (x, w, b), bw)
 

@@ -39,10 +39,6 @@ class TrainConfig:
     seed: int = 0
     patches_per_image: int = 8  # draws per record per epoch; sets the epoch length
     identity_fraction: float = 0.1  # share of samples fed clean->clean, anchoring "no dust, no change"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         if self.patch % 4:
@@ -152,7 +148,7 @@ def train(
     n = len(pairs)
     weights0 = init_weights(net, mix64(cfg.seed, _INIT_SALT), head_zero=True)
     params = build_params(weights0, net, dtype=np.float32)
-    opt = AdamW(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+    opt = AdamW(params, cfg.lr)
     steps = math.ceil(n * cfg.patches_per_image / cfg.batch)
 
     report = TrainReport(train_config=asdict(cfg), net_config=asdict(net))
