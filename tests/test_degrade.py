@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from marsdust.degrade import (
 )
 from marsdust.errors import EstimationError, ManifestError, ValidationError
 from marsdust.noise import NoiseField
+from marsdust.pngio import read_png
 from marsdust.raster import Image, load_image
 
 from conftest import make_clean_image, make_dust_patches
@@ -264,6 +267,56 @@ class TestGeneratePairs:
         empty.mkdir()
         with pytest.raises(ValidationError, match="no PNG"):
             generate_pairs(empty, phi, out_dir=tmp_path / "out")
+
+
+# (file, scale, octaves, lacunarity, persistence, alpha, light, seed) of
+# generate_pairs(small corpus, maps_per_image=3, seed=21), frozen once
+GOLDEN_RECORDS = [
+    ("c0_d00.png", 236.9454052575297, 4, 1.9829781926228969, 0.43158122530329646, 0.4,
+     (0.8549019607843137, 0.6839215686274407, 0.5300392156862777), 5159305387576530153),
+    ("c0_d01.png", 315.4201493679026, 4, 2.019088051042138, 0.41025082831856835, 0.8,
+     (0.8549019607843137, 0.6839215686274407, 0.5300392156862777), 5627343053366927699),
+    ("c0_d02.png", 449.6622304507108, 4, 2.044070897552121, 0.45648283043395665, 1.0,
+     (0.8549019607843137, 0.6839215686274407, 0.5300392156862777), 8658445195005424925),
+    ("c1_d00.png", 390.46336928386484, 3, 2.1931795468995654, 0.4038548698547471, 0.5,
+     (0.8392156862745098, 0.6713725490195978, 0.5203137254901993), 1371860534943824282),
+    ("c1_d01.png", 491.3817706754361, 5, 1.8347661572332061, 0.6134480841741153, 1.0,
+     (0.8392156862745098, 0.6713725490195978, 0.5203137254901993), 17554665624168973222),
+    ("c1_d02.png", 236.49164964405242, 4, 2.137385992338713, 0.6453735979746473, 0.4,
+     (0.8392156862745098, 0.6713725490195978, 0.5203137254901993), 8706629484055102569),
+    ("c2_d00.png", 359.49196745815294, 5, 2.061791165784198, 0.4067174606826297, 0.9,
+     (0.8666666666666667, 0.6933333333333229, 0.5373333333333367), 8780117795568248025),
+    ("c2_d01.png", 476.69090779746904, 4, 2.068337626666561, 0.5014296984975523, 0.8,
+     (0.8666666666666667, 0.6933333333333229, 0.5373333333333367), 10059520820502437724),
+    ("c2_d02.png", 194.02513674068942, 2, 2.0096980236974877, 0.6367838690455054, 0.4,
+     (0.8666666666666667, 0.6933333333333229, 0.5373333333333367), 880937742658028060),
+]
+
+
+class TestGoldens:
+    """generate_pairs output on conftest frames, pinned before the synthesis
+    options were folded into constants."""
+
+    @pytest.fixture(scope="class")
+    def golden_manifest(self, small_corpus):
+        root, clean_dir, phi = small_corpus
+        return generate_pairs(clean_dir, phi, maps_per_image=3, seed=21, out_dir=root / "golden")
+
+    def test_manifest_numeric_fields(self, golden_manifest):
+        got = [
+            (Path(r.dusty).name, r.scale, r.octaves, r.lacunarity, r.persistence, r.alpha, r.light, r.seed)
+            for r in golden_manifest.records
+        ]
+        assert got == GOLDEN_RECORDS
+
+    def test_dusty_samples_digest(self, golden_manifest):
+        # decoded samples rather than file bytes, so the zlib build does not matter
+        h = hashlib.sha256()
+        for rec in golden_manifest.records:
+            samples, depth = read_png(rec.dusty)
+            assert depth == 16
+            h.update(samples.tobytes())
+        assert h.hexdigest() == "bcbc611efccf907bcdf0dd458620785a96fde3dce3280c8668a5a05b8ed14bdd"
 
 
 class TestManifest:

@@ -116,6 +116,17 @@ class TestSampleParams:
             p = sample_params(seed, ranges)
             assert (p.scale, p.octaves, p.lacunarity, p.persistence) == (100.0, 3, 2.0, 0.5)
 
+    def test_golden_tuples(self):
+        # frozen draws of the synthesis ranges; the dusty corpus depends on them
+        golden = {
+            0: (459.72324207971195, 3, 1.8105735086370391, 0.6912645934461485, 1961750202426094747),
+            1: (317.81958567718186, 4, 2.1884011014347187, 0.5333077651167316, 8195237237126968761),
+            999: (247.0002749740762, 5, 2.1073747197503674, 0.5371105989025848, 9074397613467384218),
+        }
+        for seed, expected in golden.items():
+            p = sample_params(seed)
+            assert (p.scale, p.octaves, p.lacunarity, p.persistence, p.seed) == expected
+
     def test_same_seed_same_params(self):
         assert sample_params(77) == sample_params(77)
 
