@@ -16,7 +16,7 @@ from .degrade import (
     synthesize_dusty,
 )
 from .metrics import corpus_report, dust_index, psnr, ssim
-from .noise import DEFAULT_RANGES, NoiseField, ParamRanges, PerlinParams, perlin2d, sample_params
+from .noise import NoiseField, PerlinParams, perlin2d, sample_params
 from .raster import Image, PatchRegion, augment, crop_patch, load_image, save_image
 from .restore import RestoreMethod, estimate_transmission, invert_degradation, remove_dust
 
@@ -25,12 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_SET",
     "AtmosphericLight",
-    "DEFAULT_RANGES",
     "DatasetManifest",
     "Image",
     "NoiseField",
     "PairRecord",
-    "ParamRanges",
     "PatchRegion",
     "PerlinParams",
     "Reflexivity",

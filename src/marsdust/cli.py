@@ -30,7 +30,7 @@ from .errors import (
     WeightsFormatError,
 )
 from .metrics import corpus_report
-from .raster import load_image, save_image
+from .raster import list_pngs, load_image, save_image
 from .restore import RestoreMethod, remove_dust
 from .tinynet import NetConfig, TrainConfig, train
 
@@ -50,13 +50,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="marsdust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+    def common(p, seed=False, jobs=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if jobs:
+            p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("estimate-phi", help="estimate dust reflexivity from heavy-dust patches")
@@ -70,7 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--maps", type=int, default=7)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", required=True)
-    common(p)
+    common(p, seed=True, jobs=True)
 
     p = sub.add_parser("train", help="train the restoration network on a pair manifest")
     p.add_argument("--manifest", required=True)
@@ -80,7 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("remove", help="remove dust from a directory of images")
     p.add_argument("--in", dest="in_dir", required=True)
@@ -89,13 +98,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights")
     p.add_argument("--manifest")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, jobs=True)
 
     p = sub.add_parser("eval", help="dust-index / PSNR / SSIM report over image sets")
     p.add_argument("--sets", required=True, help="label=dir[,label=dir...]")
     p.add_argument("--pairs")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, jobs=True)
 
     return parser
 
@@ -109,7 +118,7 @@ def _setup_logging(verbose: bool):
 def _load_patches(source: str):
     path = Path(source)
     if path.is_dir():
-        files = sorted(path.glob("*.png"))
+        files = list_pngs(path)
     else:
         try:
             listed = json.loads(path.read_text())
@@ -166,8 +175,6 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig(
         patch=args.patch, batch=args.batch, lr=args.lr, epochs=args.epochs, seed=args.seed
     )
-    if args.jobs != 1:
-        raise ValidationError("train is single-threaded; rerun with --jobs 1")
     net = NetConfig(base_width=args.width)
     report = train(cfg, net, manifest, args.out)
     print(
@@ -188,7 +195,7 @@ def _cmd_remove(args) -> int:
             raise ValidationError("--method analytic-known requires --manifest")
         records = DatasetManifest.load(args.manifest).by_dusty_name()
     in_dir = Path(args.in_dir)
-    paths = sorted(in_dir.glob("*.png"))
+    paths = list_pngs(in_dir)
     if not paths:
         raise ValidationError(f"no PNG images found in {in_dir}")
     out_dir = Path(args.out)
@@ -242,8 +249,6 @@ def run(argv) -> int:
         return 1
     _setup_logging(args.verbose)
     try:
-        if args.jobs < 1:
-            raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ValidationError, EstimationError) as exc:
         logger.error("%s", exc)

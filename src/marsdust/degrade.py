@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import EstimationError, ManifestError, ValidationError
 from .metrics import dust_index
-from .noise import DEFAULT_RANGES, NoiseField, ParamRanges, PerlinParams, perlin2d, sample_params
-from .raster import Image, PatchRegion, crop_patch, load_image, save_image
+from .noise import NoiseField, PerlinParams, perlin2d, sample_params
+from .raster import Image, PatchRegion, crop_patch, list_pngs, load_image, save_image
 from .rng import mix64, shuffled
 
 logger = logging.getLogger(__name__)
@@ -33,6 +33,10 @@ logger = logging.getLogger(__name__)
 # Dust strengths used by the synthesis protocol: one map per alpha, each value
 # used exactly once per clean image.
 ALPHA_SET = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+# Side and number of the square tiles auto_select_dusty_patches returns.
+_PATCH_TILE = 32
+_PATCH_COUNT = 8
 
 
 # Fraction of ground light reaching the sensor; 1 = clear, 0 = opaque.
@@ -67,14 +71,10 @@ class AtmosphericLight:
                 raise ValidationError(f"light values must be in [0, 1], got {v}")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha <= 1:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
-
-
 def make_transmission(noise: NoiseField, alpha: float) -> TransmissionMap:
     """T = 1 - alpha * M, elementwise; output lies in [1 - alpha, 1]."""
-    _check_alpha(alpha)
+    if not 0 < alpha <= 1:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
     return TransmissionMap(1.0 - alpha * noise.values)
 
 
@@ -135,18 +135,19 @@ def synthesize_dusty(img: Image, tmap: TransmissionMap, light: AtmosphericLight)
     return Image(out)
 
 
-def auto_select_dusty_patches(img: Image, tile: int = 32, count: int = 8) -> list[Image]:
+def auto_select_dusty_patches(img: Image) -> list[Image]:
     """Pick the densest-looking square tiles of an image as stand-in heavy-dust
     patches (manual selections take precedence wherever they are available)."""
-    if img.width < tile or img.height < tile:
+    t = _PATCH_TILE
+    if img.width < t or img.height < t:
         return [img]
     scored = []
-    for ty in range(img.height // tile):
-        for tx in range(img.width // tile):
-            patch = crop_patch(img, PatchRegion(tx * tile, ty * tile, tile, tile))
+    for ty in range(img.height // t):
+        for tx in range(img.width // t):
+            patch = crop_patch(img, PatchRegion(tx * t, ty * t, t, t))
             scored.append((dust_index(patch), ty, tx, patch))
     scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [item[3] for item in scored[:count]]
+    return [item[3] for item in scored[:_PATCH_COUNT]]
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,14 @@ class DatasetManifest:
         return cls(records)
 
     def by_dusty_name(self) -> dict[str, PairRecord]:
-        return {Path(rec.dusty).name: rec for rec in self.records}
+        """Records keyed by dusty file name; a name two records share is an error."""
+        out: dict[str, PairRecord] = {}
+        for rec in self.records:
+            name = Path(rec.dusty).name
+            if name in out:
+                raise ManifestError(f"dusty name {name} is shared by {out[name].dusty} and {rec.dusty}")
+            out[name] = rec
+        return out
 
 
 def replay_dusty(record: PairRecord) -> Image:
@@ -255,30 +263,30 @@ def generate_pairs(
     phi: Reflexivity,
     out_dir,
     maps_per_image: int = 7,
-    alpha_set: Sequence[float] = ALPHA_SET,
     seed: int = 0,
-    ranges: ParamRanges = DEFAULT_RANGES,
     bit_depth: int = 16,
     jobs: int = 1,
 ) -> DatasetManifest:
     """Synthesize ``maps_per_image`` dusty variants for every clean PNG.
 
     Per image i, the map seeds are mix64(mix64(seed, i), j + 1) and the alpha
-    values are a seeded permutation of ``alpha_set`` consumed in order: when
+    values are a seeded permutation of ``ALPHA_SET`` consumed in order: when
     maps_per_image equals the set size, each alpha is used exactly once.
+    Dusty files are named after the clean file's stem, so two clean files
+    that differ only in the case of their suffix are rejected.
     Parallel and serial runs produce identical bytes because all randomness is
     keyed by the image index, never by scheduling.
     """
     if maps_per_image < 1:
         raise ValidationError(f"maps_per_image must be >= 1, got {maps_per_image}")
-    alphas = sorted(set(alpha_set))
-    if not alphas:
-        raise ValidationError("alpha_set is empty")
-    for a in alphas:
-        _check_alpha(a)
-    clean_paths = sorted(p for p in Path(clean_dir).iterdir() if p.suffix.lower() == ".png")
+    clean_paths = list_pngs(clean_dir)
     if not clean_paths:
         raise ValidationError(f"no PNG images found in {clean_dir}")
+    by_stem: dict[str, Path] = {}
+    for path in clean_paths:
+        if by_stem.setdefault(path.stem, path) is not path:
+            raise ValidationError(f"clean images {by_stem[path.stem].name} and {path.name} "
+                                  "would write the same dusty files")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -286,10 +294,10 @@ def generate_pairs(
         clean = load_image(clean_path)
         light = estimate_atmospheric_light(clean, phi)
         img_seed = mix64(seed, index)
-        alpha_order = shuffled(alphas, mix64(img_seed, 0))
+        alpha_order = shuffled(ALPHA_SET, mix64(img_seed, 0))
         records = []
         for j in range(maps_per_image):
-            params = sample_params(mix64(img_seed, j + 1), ranges)
+            params = sample_params(mix64(img_seed, j + 1))
             alpha = alpha_order[j % len(alpha_order)]
             field = perlin2d(params, clean.width, clean.height)
             dusty = synthesize_dusty(clean, make_transmission(field, alpha), light)

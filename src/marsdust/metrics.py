@@ -8,6 +8,7 @@ dust thickens.  Reports label the column "dust_index (FADE-surrogate)".
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecodeError, ValidationError
-from .raster import Image, load_image
+from .raster import Image, list_pngs, load_image
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +29,7 @@ logger = logging.getLogger(__name__)
 CONTRAST_NORM = 0.2
 
 _DARK_WINDOW = 7
+_TILE = 8  # side of the square tiles the contrast term is measured over
 
 
 def _luminance(img: Image) -> np.ndarray:
@@ -48,12 +50,18 @@ def min_filter2d(arr: np.ndarray, size: int) -> np.ndarray:
     return np.moveaxis(sliding_window_view(cols, size, axis=1), -1, 0).min(0)
 
 
-def dark_channel(img: Image, window: int = _DARK_WINDOW) -> np.ndarray:
+def channel_min(arr: np.ndarray) -> np.ndarray:
+    """``arr.min(axis=-1)`` as one elementwise pass per channel; the numpy
+    reduction walks the short contiguous channel axis pixel by pixel."""
+    return functools.reduce(np.minimum, np.moveaxis(arr, -1, 0))
+
+
+def dark_channel(img: Image) -> np.ndarray:
     """Per-pixel channel minimum followed by a windowed spatial minimum."""
-    return min_filter2d(img.data.min(axis=2), window)
+    return min_filter2d(channel_min(img.data), _DARK_WINDOW)
 
 
-def dust_index(img: Image, tile: int = 8) -> float:
+def dust_index(img: Image) -> float:
     """No-reference dust density in [0, 1]; higher means more dust.
 
     0.5 * (1 - min(1, mean_tile_rms_contrast / 0.2)) + 0.5 * mean_dark_channel.
@@ -63,16 +71,13 @@ def dust_index(img: Image, tile: int = 8) -> float:
     channel are exactly rounded, so the score is bit-stable under 90-degree
     rotations of square images, which only permute tiles and their values.
     """
-    if tile < 2:
-        raise ValidationError(f"tile must be >= 2, got {tile}")
-    if img.width < tile or img.height < tile:
-        raise ValidationError(
-            f"image {img.width}x{img.height} smaller than tile {tile}"
-        )
+    t = _TILE
+    if img.width < t or img.height < t:
+        raise ValidationError(f"image {img.width}x{img.height} smaller than tile {t}")
     lum = _luminance(img)
-    th, tw = img.height // tile, img.width // tile
-    tiles = lum[: th * tile, : tw * tile].reshape(th, tile, tw, tile).swapaxes(1, 2)
-    vals = np.sort(tiles.reshape(th * tw, tile * tile), axis=1)
+    th, tw = img.height // t, img.width // t
+    tiles = lum[: th * t, : tw * t].reshape(th, t, tw, t).swapaxes(1, 2)
+    vals = np.sort(tiles.reshape(th * tw, t * t), axis=1)
     vals -= vals[:, :1]  # a flat tile is then exactly zero, with zero contrast
     dev = vals - vals.mean(axis=1, keepdims=True)
     contrasts = np.sqrt((dev * dev).mean(axis=1))
@@ -187,7 +192,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> CorpusReport:
+def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
     """Per-set dust-index statistics, plus PSNR/SSIM where a pairing is known.
 
     ``sets`` maps label -> directory (or explicit list of paths).  When a
@@ -197,10 +202,7 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
     warning and listed with the decode error in ``report.skipped``.
     Images are scored on ``jobs`` threads; rows keep input order.
     """
-    clean_for: dict[str, str] = {}
-    if pairs is not None:
-        for rec in pairs.records:
-            clean_for[Path(rec.dusty).name] = rec.clean
+    records = pairs.by_dusty_name() if pairs is not None else {}
 
     def score_one(label, path):
         try:
@@ -208,14 +210,14 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
         except DecodeError as exc:
             logger.warning("skipping unreadable image %s: %s", path, exc)
             return {"path": str(path), "reason": str(exc)}
-        row = {"set": label, "path": str(path), "dust_index": dust_index(img, tile)}
-        ref_path = clean_for.get(path.name)
-        if ref_path is not None and label != "clean":
+        row = {"set": label, "path": str(path), "dust_index": dust_index(img)}
+        rec = records.get(path.name)
+        if rec is not None and label != "clean":
             try:
-                ref = load_image(ref_path)
+                ref = load_image(rec.clean)
             except DecodeError as exc:
-                logger.warning("skipping %s: unreadable clean reference %s: %s", path, ref_path, exc)
-                return {"path": str(path), "reason": f"clean reference {ref_path}: {exc}"}
+                logger.warning("skipping %s: unreadable clean reference %s: %s", path, rec.clean, exc)
+                return {"path": str(path), "reason": f"clean reference {rec.clean}: {exc}"}
             if ref.data.shape == img.data.shape:
                 row["psnr"] = psnr(ref, img)
                 row["ssim"] = ssim(ref, img)
@@ -224,7 +226,7 @@ def corpus_report(sets: dict, pairs=None, tile: int = 8, jobs: int = 1) -> Corpu
     report = CorpusReport()
     for label, source in sets.items():
         if isinstance(source, (str, Path)):
-            paths = sorted(Path(source).glob("*.png"))
+            paths = list_pngs(source)
         else:
             paths = [Path(p) for p in source]
         if not paths:

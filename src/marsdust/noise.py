@@ -125,47 +125,27 @@ def perlin2d(params: PerlinParams, width: int, height: int) -> NoiseField:
     return NoiseField(values)
 
 
-@dataclass(frozen=True)
-class ParamRanges:
-    """Inclusive sampling bounds for each PerlinParams field."""
-
-    scale: tuple[float, float] = (64.0, 512.0)
-    octaves: tuple[int, int] = (2, 5)
-    lacunarity: tuple[float, float] = (1.8, 2.2)
-    persistence: tuple[float, float] = (0.4, 0.7)
-
-    def __post_init__(self):
-        for name in ("scale", "octaves", "lacunarity", "persistence"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValidationError(f"inverted range for {name}: [{lo}, {hi}]")
-        if self.scale[0] <= 0:
-            raise ValidationError("scale range must be positive")
-        if self.octaves[0] < 1:
-            raise ValidationError("octaves range must start at >= 1")
-        if self.lacunarity[0] <= 1:
-            raise ValidationError("lacunarity range must exceed 1")
-        if not 0 < self.persistence[0] or self.persistence[1] > 1:
-            raise ValidationError("persistence range must lie in (0, 1]")
+# Inclusive sampling bounds of each PerlinParams field in sample_params.
+SCALE_RANGE = (64.0, 512.0)
+OCTAVES_RANGE = (2, 5)
+LACUNARITY_RANGE = (1.8, 2.2)
+PERSISTENCE_RANGE = (0.4, 0.7)
 
 
-DEFAULT_RANGES = ParamRanges()
-
-
-def sample_params(rng_seed: int, ranges: ParamRanges = DEFAULT_RANGES) -> PerlinParams:
+def sample_params(rng_seed: int) -> PerlinParams:
     """Draw one parameter tuple, counter-based: same seed, same params.
 
     Uniform draws use u01(rng_seed, k) for k = 0..3 in field order
     (scale, octaves, lacunarity, persistence); the noise seed itself is
     splitmix64_at(rng_seed, 4).
     """
-    lo, hi = ranges.scale
+    lo, hi = SCALE_RANGE
     scale = lo + u01(rng_seed, 0) * (hi - lo)
-    olo, ohi = ranges.octaves
+    olo, ohi = OCTAVES_RANGE
     octaves = olo + int(u01(rng_seed, 1) * (ohi - olo + 1))
-    lo, hi = ranges.lacunarity
+    lo, hi = LACUNARITY_RANGE
     lacunarity = lo + u01(rng_seed, 2) * (hi - lo)
-    lo, hi = ranges.persistence
+    lo, hi = PERSISTENCE_RANGE
     persistence = lo + u01(rng_seed, 3) * (hi - lo)
     seed = splitmix64_at(rng_seed, 4)
     return PerlinParams(scale, octaves, lacunarity, persistence, seed)

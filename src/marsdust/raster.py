@@ -8,6 +8,7 @@ operations are pure and return new Images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class PatchRegion:
     y0: int
     width: int
     height: int
+
+
+def list_pngs(directory) -> list[Path]:
+    """The PNG files in ``directory`` (suffix matched in any case), sorted."""
+    return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".png")
 
 
 def load_image(path) -> Image:

@@ -29,7 +29,7 @@ from .degrade import (
     make_transmission,
 )
 from .errors import EstimationError, ValidationError
-from .metrics import min_filter2d
+from .metrics import channel_min, min_filter2d
 from .noise import perlin2d
 from .raster import Image
 
@@ -40,13 +40,10 @@ VARIANTS = ("analytic-known", "analytic-estimated", "learned")
 
 @dataclass(frozen=True)
 class RestoreMethod:
-    """Which removal route to take, plus its knobs."""
+    """Which removal route to take, and the weights file of the learned one."""
 
     variant: str
     weights_path: str | None = None
-    window: int = 15
-    omega: float = 0.95
-    t_floor: float = DEFAULT_T_FLOOR
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -110,7 +107,7 @@ def estimate_transmission(
     low = np.asarray(light.values, dtype=np.float64)
     if np.any(low == 0.0):
         raise EstimationError("atmospheric light has a zero channel; ratio undefined")
-    ratio = (H.data / low).min(axis=2)
+    ratio = channel_min(H.data / low)
     dark = min_filter2d(ratio, window)
     values = np.clip(1.0 - omega * dark, t_floor, 1.0)
     return TransmissionMap(values)
@@ -140,14 +137,13 @@ def remove_dust(H: Image, method: RestoreMethod, record: PairRecord | None = Non
             raise ValidationError("analytic-known removal needs the pair's manifest record")
         field = perlin2d(record.perlin_params, H.width, H.height)
         tmap = make_transmission(field, record.alpha)
-        return invert_degradation(H, tmap, AtmosphericLight(record.light), method.t_floor)
+        return invert_degradation(H, tmap, AtmosphericLight(record.light))
 
     if method.variant == "analytic-estimated":
         patches = auto_select_dusty_patches(H)
         phi = estimate_reflexivity(patches)
         light = estimate_atmospheric_light(H, phi)
-        tmap = estimate_transmission(H, light, method.window, method.omega, method.t_floor)
-        return invert_degradation(H, tmap, light, method.t_floor)
+        return invert_degradation(H, estimate_transmission(H, light), light)
 
     # learned
     from .tinynet import forward

@@ -11,11 +11,10 @@ from .model import (
     param_shapes,
 )
 from .train import AdamW, TrainConfig, TrainReport, train
-from .weights import ModelWeights, load_weights, save_weights
+from .weights import load_weights, save_weights
 
 __all__ = [
     "AdamW",
-    "ModelWeights",
     "NetConfig",
     "Tensor",
     "TrainConfig",

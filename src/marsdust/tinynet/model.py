@@ -4,9 +4,9 @@ Layout, in order: a 3x3 stem, two stride-2 3x3 downsampling convolutions,
 three densely connected depthwise-separable blocks each followed by a
 channel-then-pixel attention gate, two nearest-neighbour x2 upsamplings each
 followed by a channel-halving 3x3 convolution, and a final 3x3 projection
-back to the input channel count.  With the global residual enabled the
-output is clamp(input + prediction, 0, 1), so an all-zero prediction leaves
-the image untouched.  ReLU follows every convolution except the gate outputs
+back to the input channel count.  The output is the global residual
+clamp(input + prediction, 0, 1), so an all-zero prediction leaves the image
+untouched.  ReLU follows every convolution except the gate outputs
 (logistic) and the final projection.
 """
 
@@ -20,7 +20,6 @@ import numpy as np
 from ..errors import ValidationError
 from . import autodiff as ad
 from .autodiff import Tensor
-from .weights import ModelWeights
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class NetConfig:
     ddsc_modules: int = 3
     ddsc_layers: int = 4
     growth: int = 16
-    use_global_residual: bool = True
 
     def __post_init__(self):
         for name in ("in_channels", "base_width", "ddsc_modules", "ddsc_layers", "growth"):
@@ -78,11 +76,11 @@ def param_shapes(cfg: NetConfig) -> "OrderedDict[str, tuple]":
 
 def init_weights(
     cfg: NetConfig, seed: int, head_zero: bool = True, dtype=np.float32
-) -> ModelWeights:
+) -> dict[str, np.ndarray]:
     """He-normal weights, zero biases; optionally a zeroed final projection so
     the residual network starts as the identity while gradients still flow."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    tensors = {}
     for name, shape in param_shapes(cfg).items():
         if name.endswith(".b"):
             tensors[name] = np.zeros(shape, dtype=dtype)
@@ -93,21 +91,21 @@ def init_weights(
         if head_zero and name == "head.w":
             arr = np.zeros(shape)
         tensors[name] = arr.astype(dtype)
-    return ModelWeights(tensors)
+    return tensors
 
 
-def build_params(weights: ModelWeights, cfg: NetConfig, dtype=None) -> dict[str, Tensor]:
+def build_params(weights: dict[str, np.ndarray], cfg: NetConfig, dtype=None) -> dict[str, Tensor]:
     """Wrap weight arrays as trainable tensors, validating names and shapes."""
     expected = param_shapes(cfg)
-    missing = [n for n in expected if n not in weights.tensors]
-    extra = [n for n in weights.tensors if n not in expected]
+    missing = [n for n in expected if n not in weights]
+    extra = [n for n in weights if n not in expected]
     if missing or extra:
         raise ValidationError(
             f"weights do not match config: missing {missing[:3]}, unexpected {extra[:3]}"
         )
     params = {}
     for name, shape in expected.items():
-        arr = weights.tensors[name]
+        arr = weights[name]
         if tuple(arr.shape) != shape:
             raise ValidationError(
                 f"weight {name} has shape {tuple(arr.shape)}, config expects {shape}"
@@ -166,12 +164,10 @@ def graph_forward(
     pred = conv("head", h, pad=1, act=None)
     if internals is not None:
         internals["prediction"] = pred
-    if cfg.use_global_residual:
-        return ad.clamp01(ad.add(x, pred))
-    return ad.clamp01(pred)
+    return ad.clamp01(ad.add(x, pred))
 
 
-def forward(weights: ModelWeights, cfg: NetConfig, x: np.ndarray) -> np.ndarray:
+def forward(weights: dict[str, np.ndarray], cfg: NetConfig, x: np.ndarray) -> np.ndarray:
     """Inference entry point: numpy (B, C, H, W) in, numpy out, no graph."""
     params = build_params(weights, cfg, dtype=np.float64)
     with ad.no_grad():
@@ -179,20 +175,14 @@ def forward(weights: ModelWeights, cfg: NetConfig, x: np.ndarray) -> np.ndarray:
     return out.data
 
 
-def infer_config(weights: ModelWeights, use_global_residual: bool = True) -> NetConfig:
-    """Reconstruct the architecture from weight names and shapes.
-
-    The residual flag is not stored in the file; it defaults to the shipped
-    architecture.
-    """
+def infer_config(weights: dict[str, np.ndarray]) -> NetConfig:
+    """Reconstruct the architecture from weight names and shapes."""
     try:
         stem = weights["stem.w"]
         base = stem.shape[0]
         cin = stem.shape[1]
-        modules = len({n.split(".")[0] for n in weights.names() if n.startswith("ddsc")})
-        layers = len(
-            {n.split(".")[1] for n in weights.names() if n.startswith("ddsc0.l")}
-        )
+        modules = len({n.split(".")[0] for n in weights if n.startswith("ddsc")})
+        layers = len({n.split(".")[1] for n in weights if n.startswith("ddsc0.l")})
         growth = weights["ddsc0.l0.pw.w"].shape[0]
     except KeyError as exc:
         raise ValidationError(f"weights are missing expected tensor {exc}") from exc
@@ -202,7 +192,6 @@ def infer_config(weights: ModelWeights, use_global_residual: bool = True) -> Net
         ddsc_modules=modules,
         ddsc_layers=layers,
         growth=growth,
-        use_global_residual=use_global_residual,
     )
     build_params(weights, cfg)  # validates the full table
     return cfg

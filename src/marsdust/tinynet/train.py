@@ -23,11 +23,13 @@ from ..rng import mix64
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import NetConfig, build_params, graph_forward, init_weights
-from .weights import ModelWeights, save_weights
+from .weights import save_weights
 
 logger = logging.getLogger(__name__)
 
 _INIT_SALT = 0x57E16B7
+# Share of samples fed clean -> clean, anchoring "no dust, no change".
+_IDENTITY_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,6 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 0
     patches_per_image: int = 8  # draws per record per epoch; sets the epoch length
-    identity_fraction: float = 0.1  # share of samples fed clean->clean, anchoring "no dust, no change"
 
     def __post_init__(self):
         if self.patch % 4:
@@ -51,8 +52,6 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.patches_per_image < 1:
             raise ValidationError("patches_per_image must be >= 1")
-        if not 0 <= self.identity_fraction < 1:
-            raise ValidationError("identity_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -164,7 +163,7 @@ def train(
                 y0 = int(rng.integers(0, h - cfg.patch + 1))
                 rot = int(rng.integers(0, 4))
                 flip = bool(rng.integers(0, 2))
-                if rng.random() < cfg.identity_fraction:
+                if rng.random() < _IDENTITY_FRACTION:
                     dusty = clean  # identity anchor: dust-free input must pass through
                 sl = np.s_[:, y0 : y0 + cfg.patch, x0 : x0 + cfg.patch]
                 xs.append(_augment_chw(dusty[sl], rot, flip))
@@ -181,9 +180,7 @@ def train(
         report.epoch_losses.append(epoch_loss)
         logger.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, epoch_loss)
 
-    trained = ModelWeights()
-    for name in sorted(params):
-        trained.tensors[name] = params[name].data.astype(np.float32)
+    trained = {name: params[name].data.astype(np.float32) for name in sorted(params)}
     out_path = Path(out_path)
     save_weights(trained, out_path)
     report.seconds = time.monotonic() - t0

@@ -1,4 +1,4 @@
-"""Model weights container and its binary file format.
+"""Binary file format of model weights: named float32 tensors, in order.
 
 Layout (all integers little-endian):
 
@@ -13,8 +13,6 @@ save followed by load is bit-identical.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +23,10 @@ MAGIC = b"MDW1"
 VERSION = 1
 
 
-@dataclass
-class ModelWeights:
-    """Ordered named float32 tensors."""
-
-    tensors: "OrderedDict[str, np.ndarray]" = field(default_factory=OrderedDict)
-    version: int = VERSION
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
-
-def save_weights(weights: ModelWeights, path) -> None:
-    parts = [MAGIC, struct.pack("<II", weights.version, len(weights.tensors))]
-    for name, arr in weights.tensors.items():
+def save_weights(weights: dict[str, np.ndarray], path) -> None:
+    """Write the tensors in the dict's order."""
+    parts = [MAGIC, struct.pack("<II", VERSION, len(weights))]
+    for name, arr in weights.items():
         raw = np.asarray(arr, dtype="<f4", order="C")  # keeps 0-d tensors 0-d
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<I", len(encoded)))
@@ -69,7 +54,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def load_weights(path) -> ModelWeights:
+def load_weights(path) -> dict[str, np.ndarray]:
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -81,7 +66,7 @@ def load_weights(path) -> ModelWeights:
     if version != VERSION:
         raise WeightsFormatError(f"{path}: unsupported format version {version}")
     count = r.u32("tensor count")
-    tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    tensors: dict[str, np.ndarray] = {}
     for i in range(count):
         name_len = r.u32(f"name length of tensor {i}")
         try:
@@ -100,4 +85,4 @@ def load_weights(path) -> ModelWeights:
         tensors[name] = arr
     if r.pos != len(blob):
         raise WeightsFormatError(f"{path}: {len(blob) - r.pos} trailing bytes after last tensor")
-    return ModelWeights(tensors, version)
+    return tensors

@@ -22,7 +22,7 @@ FD_STEP = 1e-3
 def build_conditioned_net(cfg: NetConfig, seed: int, x: np.ndarray):
     """Float64 params at a probe point with all ReLU kinks cleared by MARGIN."""
     weights = init_weights(cfg, seed, head_zero=False, dtype=np.float64)
-    weights.tensors["head.w"] = weights.tensors["head.w"] * 0.05
+    weights["head.w"] = weights["head.w"] * 0.05
     params = build_params(weights, cfg, dtype=np.float64)
 
     def probe():

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,8 +91,6 @@ def test_synth_jobs_parallel_identical(workspace, tmp_path):
     for a, b in zip(f1, f2):
         assert a.read_bytes() == b.read_bytes()
     # manifests identical up to the output directory embedded in the dusty path
-    from dataclasses import replace
-
     def normalized(path):
         return [
             replace(r, dusty=r.dusty.rsplit("/", 1)[-1])
@@ -229,6 +229,67 @@ def test_train_rejects_parallel_jobs(workspace, tmp_path):
         "--epochs", "1", "--width", "4", "--out", str(tmp_path / "w.mdw"), "--jobs", "2",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-phi", "--patches", "p", "--out", "o", "--seed", "1"],
+    ["estimate-phi", "--patches", "p", "--out", "o", "--jobs", "2"],
+    ["train", "--manifest", "m", "--out", "o", "--jobs", "2"],
+    ["remove", "--in", "i", "--method", "analytic-est", "--out", "o", "--seed", "1"],
+    ["eval", "--sets", "a=b", "--out", "o", "--seed", "1"],
+])
+def test_seed_and_jobs_only_where_used(argv, capsys):
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_remove_reads_uppercase_png_suffix(workspace, tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "FRAME.PNG").write_bytes((workspace / "clean" / "c0.png").read_bytes())
+    out = tmp_path / "out"
+    assert run(["remove", "--in", str(src), "--method", "analytic-est", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["FRAME.PNG"]
+
+
+@pytest.fixture()
+def shared_name_manifest(workspace, tmp_path):
+    """A synth manifest plus one record from another directory whose dusty
+    file has the same basename as the first record's."""
+    phi = tmp_path / "phi.json"
+    dusty = tmp_path / "dusty"
+    manifest = tmp_path / "pairs.jsonl"
+    assert run(["estimate-phi", "--patches", str(workspace / "patches"), "--out", str(phi)]) == 0
+    assert run([
+        "synth", "--clean", str(workspace / "clean"), "--phi", str(phi),
+        "--maps", "1", "--out", str(dusty), "--manifest", str(manifest), "--seed", "2",
+    ]) == 0
+    m = DatasetManifest.load(manifest)
+    first = m.records[0]
+    m.records.append(replace(first, dusty=str(tmp_path / "other" / Path(first.dusty).name)))
+    m.save(manifest)
+    return dusty, manifest
+
+
+def test_remove_known_rejects_shared_dusty_name(shared_name_manifest, tmp_path, capsys):
+    dusty, manifest = shared_name_manifest
+    out = tmp_path / "restored"
+    code = run([
+        "remove", "--in", str(dusty), "--method", "analytic-known",
+        "--manifest", str(manifest), "--out", str(out),
+    ])
+    assert code == 2
+    assert "shared by" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_shared_dusty_name(shared_name_manifest, tmp_path, capsys):
+    dusty, manifest = shared_name_manifest
+    report_path = tmp_path / "report.json"
+    code = run(["eval", "--sets", f"dusty={dusty}", "--pairs", str(manifest), "--out", str(report_path)])
+    assert code == 2
+    assert "shared by" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_eval_missing_pairs_file_exits_2(workspace, tmp_path):

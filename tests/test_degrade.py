@@ -261,6 +261,28 @@ class TestGeneratePairs:
             q = np.floor(replayed.data * 65535 + 0.5) / 65535
             assert np.array_equal(q, stored.data)
 
+    def test_clean_files_sharing_a_stem_rejected_before_writing(self, tmp_path, small_corpus):
+        root, clean_dir, phi = small_corpus
+        src = tmp_path / "clean"
+        src.mkdir()
+        blob = (clean_dir / "c0.png").read_bytes()
+        (src / "x.png").write_bytes(blob)
+        (src / "x.PNG").write_bytes(blob)
+        if len(list(src.iterdir())) != 2:
+            pytest.skip("file system folds the case of file names")
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="x.PNG and x.png"):
+            generate_pairs(src, phi, out_dir=out)
+        assert not out.exists()
+
+    def test_uppercase_suffix_read(self, tmp_path, small_corpus):
+        root, clean_dir, phi = small_corpus
+        src = tmp_path / "clean"
+        src.mkdir()
+        (src / "A.PNG").write_bytes((clean_dir / "c0.png").read_bytes())
+        manifest = generate_pairs(src, phi, maps_per_image=1, out_dir=tmp_path / "out")
+        assert [Path(r.dusty).name for r in manifest.records] == ["A_d00.png"]
+
     def test_empty_dir_rejected(self, tmp_path, small_corpus):
         _, _, phi = small_corpus
         empty = tmp_path / "none"
@@ -365,20 +387,28 @@ class TestManifest:
         with pytest.raises(ManifestError):
             DatasetManifest.load(tmp_path / "absent.jsonl")
 
+    def test_shared_dusty_name_rejected(self):
+        a = PairRecord("c1/a.png", "d1/a_d00.png", 100.0, 2, 2.0, 0.5, 0.4, (0.9,), 1)
+        b = PairRecord("c2/a.png", "d2/a_d00.png", 100.0, 2, 2.0, 0.5, 0.4, (0.9,), 2)
+        with pytest.raises(ManifestError, match="d1/a_d00.png and d2/a_d00.png"):
+            DatasetManifest([a, b]).by_dusty_name()
+
 
 class TestAutoPatches:
     def test_prefers_dustier_tiles(self):
-        # left half clear textured terrain, right half bright flat dust
+        # left half clear textured terrain, right half bright flat dust: eight
+        # 32px dusty tiles, as many as the picker returns
         rng = np.random.default_rng(10)
-        arr = np.zeros((64, 64, 3))
-        arr[:, :32] = rng.random((64, 32, 3)) * 0.6
-        arr[:, 32:] = 0.85
+        arr = np.zeros((128, 128, 3))
+        arr[:, :64] = rng.random((128, 64, 3)) * 0.6
+        arr[:, 64:] = 0.85
         img = Image(arr)
-        patches = auto_select_dusty_patches(img, tile=32, count=2)
-        assert len(patches) == 2
+        patches = auto_select_dusty_patches(img)
+        assert len(patches) == 8
         for p in patches:
+            assert p.data.shape == (32, 32, 3)
             assert p.data.mean() > 0.8
 
     def test_small_image_falls_back_to_whole(self):
         img = Image(np.full((16, 16, 3), 0.5))
-        assert len(auto_select_dusty_patches(img, tile=32)) == 1
+        assert len(auto_select_dusty_patches(img)) == 1

@@ -7,7 +7,15 @@ import pytest
 
 from marsdust.degrade import AtmosphericLight, make_transmission, synthesize_dusty
 from marsdust.errors import ValidationError
-from marsdust.metrics import corpus_report, dark_channel, dust_index, min_filter2d, psnr, ssim
+from marsdust.metrics import (
+    channel_min,
+    corpus_report,
+    dark_channel,
+    dust_index,
+    min_filter2d,
+    psnr,
+    ssim,
+)
 from marsdust.noise import perlin2d, sample_params
 from marsdust.raster import Image, augment, save_image
 from marsdust.rng import mix64
@@ -69,7 +77,7 @@ class TestDustIndex:
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ValidationError):
-            dust_index(Image(np.zeros((4, 4, 3))), tile=8)
+            dust_index(Image(np.zeros((4, 4, 3))))
 
     def test_alpha_ordering_statistical(self):
         # dust index must be non-decreasing in alpha on >= 95% of random trials
@@ -167,6 +175,11 @@ class TestGoldens:
         clean, dusty = golden_frames()
         assert sha256(dark_channel(clean)) == "cb3b3b43ef3197d5691fb5a72f9de4344f87e7ad6f8444bc87528ce233cdf610"
         assert sha256(dark_channel(dusty)) == "b0e47aa91fccdd9926ff0158f81e52f908457dc837f37a8d48a0ba3d7ad60768"
+
+    def test_channel_min_equals_axis_min(self):
+        clean, dusty = golden_frames()
+        for arr in (clean.data, dusty.data, clean.data[:, :, :1], dusty.data / 0.7):
+            assert np.array_equal(channel_min(arr), arr.min(axis=-1))
 
     def test_min_filter_15_digest(self):
         clean, _ = golden_frames()

@@ -76,7 +76,7 @@ class TestShapes:
     def test_weights_shape_mismatch_rejected(self):
         cfg = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=1, growth=4)
         weights = init_weights(cfg, seed=1)
-        weights.tensors["stem.w"] = np.zeros((5, 3, 3, 3), dtype=np.float32)
+        weights["stem.w"] = np.zeros((5, 3, 3, 3), dtype=np.float32)
         with pytest.raises(ValidationError, match="stem.w"):
             build_params(weights, cfg)
 
@@ -85,8 +85,8 @@ class TestForwardSemantics:
     def test_zero_weights_with_residual_is_identity(self):
         cfg = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=1, growth=4)
         weights = init_weights(cfg, seed=0, head_zero=True)
-        for name in weights.tensors:
-            weights.tensors[name] = np.zeros_like(weights.tensors[name])
+        for name in weights:
+            weights[name] = np.zeros_like(weights[name])
         x = np.random.default_rng(1).uniform(0, 1, (1, 3, 8, 8))
         out = forward(weights, cfg, x)
         assert np.array_equal(out, x)
@@ -117,17 +117,6 @@ class TestForwardSemantics:
         out = forward(weights, cfg, x)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-    def test_no_residual_variant_runs(self):
-        cfg = NetConfig(
-            in_channels=2, base_width=4, ddsc_modules=1, ddsc_layers=1, growth=4,
-            use_global_residual=False,
-        )
-        weights = init_weights(cfg, seed=7, head_zero=True)
-        for name in weights.tensors:
-            weights.tensors[name] = np.zeros_like(weights.tensors[name])
-        x = np.random.default_rng(5).uniform(0.2, 0.8, (1, 2, 8, 8))
-        assert np.array_equal(forward(weights, cfg, x), np.zeros_like(x))
-
 
 class TestInferConfig:
     def test_roundtrip(self):
@@ -139,7 +128,7 @@ class TestInferConfig:
     def test_missing_tensor_rejected(self):
         cfg = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=1, growth=4)
         weights = init_weights(cfg, seed=9)
-        del weights.tensors["stem.w"]
+        del weights["stem.w"]
         with pytest.raises(ValidationError):
             infer_config(weights)
 

@@ -3,8 +3,9 @@ import pytest
 
 from marsdust.errors import ValidationError
 from marsdust.noise import (
-    DEFAULT_RANGES,
-    ParamRanges,
+    LACUNARITY_RANGE,
+    PERSISTENCE_RANGE,
+    SCALE_RANGE,
     PerlinParams,
     perlin2d,
     sample_params,
@@ -108,14 +109,6 @@ class TestPerlin:
 
 
 class TestSampleParams:
-    def test_degenerate_ranges_are_exact(self):
-        ranges = ParamRanges(
-            scale=(100.0, 100.0), octaves=(3, 3), lacunarity=(2.0, 2.0), persistence=(0.5, 0.5)
-        )
-        for seed in (0, 1, 999):
-            p = sample_params(seed, ranges)
-            assert (p.scale, p.octaves, p.lacunarity, p.persistence) == (100.0, 3, 2.0, 0.5)
-
     def test_golden_tuples(self):
         # frozen draws of the synthesis ranges; the dusty corpus depends on them
         golden = {
@@ -140,11 +133,7 @@ class TestSampleParams:
     def test_defaults_respect_bounds(self):
         for seed in range(200):
             p = sample_params(seed)
-            assert DEFAULT_RANGES.scale[0] <= p.scale <= DEFAULT_RANGES.scale[1]
+            assert SCALE_RANGE[0] <= p.scale <= SCALE_RANGE[1]
             assert p.octaves in (2, 3, 4, 5)
-            assert DEFAULT_RANGES.lacunarity[0] <= p.lacunarity <= DEFAULT_RANGES.lacunarity[1]
-            assert DEFAULT_RANGES.persistence[0] <= p.persistence <= DEFAULT_RANGES.persistence[1]
-
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ValidationError, match="inverted"):
-            ParamRanges(scale=(10.0, 5.0))
+            assert LACUNARITY_RANGE[0] <= p.lacunarity <= LACUNARITY_RANGE[1]
+            assert PERSISTENCE_RANGE[0] <= p.persistence <= PERSISTENCE_RANGE[1]

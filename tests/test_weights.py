@@ -1,31 +1,30 @@
 import hashlib
 import struct
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from marsdust.errors import WeightsFormatError
 from marsdust.rng import splitmix64_at
-from marsdust.tinynet import ModelWeights, load_weights, save_weights
+from marsdust.tinynet import load_weights, save_weights
 
 
-def sample_weights() -> ModelWeights:
-    tensors = OrderedDict()
+def sample_weights() -> dict[str, np.ndarray]:
+    tensors = {}
     tensors["a.w"] = np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2)
     tensors["a.b"] = np.array([0.5, -1.25], dtype=np.float32)
     tensors["z"] = np.float32(7.0).reshape(())  # rank-0 tensor
-    return ModelWeights(tensors)
+    return tensors
 
 
-def deterministic_weights() -> ModelWeights:
+def deterministic_weights() -> dict[str, np.ndarray]:
     """Platform-independent pseudo-random tensors (splitmix64-driven)."""
-    tensors = OrderedDict()
+    tensors = {}
     for k, (name, shape) in enumerate([("conv.w", (3, 2, 3, 3)), ("conv.b", (3,))]):
         n = int(np.prod(shape))
         vals = [splitmix64_at(k + 1, i) / 2.0**64 for i in range(n)]
         tensors[name] = np.array(vals, dtype=np.float32).reshape(shape)
-    return ModelWeights(tensors)
+    return tensors
 
 
 class TestRoundTrip:
@@ -34,9 +33,9 @@ class TestRoundTrip:
         path = tmp_path / "w.mdw"
         save_weights(w, path)
         back = load_weights(path)
-        assert back.version == 1
-        assert back.names() == w.names()
-        for name in w.names():
+        assert path.read_bytes()[4:8] == struct.pack("<I", 1)  # format version
+        assert list(back) == list(w)
+        for name in w:
             assert back[name].dtype == np.float32
             assert np.array_equal(back[name], w[name])
 
