@@ -152,6 +152,62 @@ class TestConvGoldens:
         assert got == want
 
 
+def probed_digests(y, x, w, b):
+    """sha256 of y and of the x/w/b gradients for the output gradient probe
+    ``dyadic(y.shape, 4)``, fed straight to the op's backward so that no 1/n
+    factor rounds: every sum stays exact whatever the output size."""
+    y._backward(dyadic(y.data.shape, 4).data)
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in (y.data, x.grad, w.grad, b.grad)]
+
+
+class TestMoreConvGoldens:
+    """Digests for dwconv2d and for a non-square, odd-sized conv2d input,
+    pinned from the im2col and per-tap loop kernels."""
+
+    @pytest.mark.parametrize(
+        "shape, want",
+        [
+            ((2, 4, 8, 8), [
+                "fdca9045bfca86ba3fcfaa7e8b3661fd04663222b81c1e2fc83e92ed16bd3009",
+                "3c7da24f39483dbe6192cc731f7462df646a970fcebdc12e1dda50d06290fd4f",
+                "f1145a8cc84319f9d434f16f5f3980f5506a46857ae7f5b468b4f6972712cf1b",
+                "0a745e2d067a2f01791fe612e4c639ce271999ef0c721b254ad07a061097e2eb",
+            ]),
+            ((2, 3, 7, 5), [
+                "1d8801b24fd7458c03e4da709a2443ce957adb29c653a7ffd739854da4040735",
+                "92af08a19555082a02a076cad801e4820ffec553d145af2b59185f5f6f8da5b1",
+                "ca69a47cc1f41db8a397e4845f59dfeaf3b8df33b937733a75798c77a5224db3",
+                "388ee02c3ff1d83fd723efdaf84c7f9f33a0c835270aabca1d679fda89c55a2c",
+            ]),
+        ],
+    )
+    def test_dwconv2d(self, shape, want):
+        c = shape[1]
+        x, w, b = dyadic(shape, 1), dyadic((c, 3, 3), 2), dyadic((c,), 3)
+        assert probed_digests(ad.dwconv2d(x, w, b, 1), x, w, b) == want
+
+    @pytest.mark.parametrize(
+        "stride, want",
+        [
+            (1, [
+                "4cfd9df216c0320d53cbb102e49b0f26197bfbe228001d2201bff1911c57582b",
+                "b4136bb929138f5cb255055ef1591cad6007dde120a52086410b63900aef391f",
+                "38b1decf5276e98993b011b5e4f87cd25f7381a3d8362b4099563a4971de0189",
+                "d5c94bf668fc1a0e786614be77937c20140ccfc6080af7fdd26b60370aba3625",
+            ]),
+            (2, [
+                "50e6c761bb5bc22393d02c41d24cdd0bfb77e8e982fd13a5fb4d64296eaccb3a",
+                "b4320bc1d7cb24fd94b3f0580843e16bec51ddb6cc2c4e9fbde1b4cd40b70a39",
+                "e2fc3b2bc6cde27eb8c5bebe0a8b52349bd622efc155a24cf953619833811397",
+                "515ba2a0d75f8d1eaef0211175bcd20643d22deed15c57d416bd1370d4706050",
+            ]),
+        ],
+    )
+    def test_conv2d_non_square(self, stride, want):
+        x, w, b = dyadic((2, 3, 7, 5), 1), dyadic((4, 3, 3, 3), 2), dyadic((4,), 3)
+        assert probed_digests(ad.conv2d(x, w, b, stride, 1), x, w, b) == want
+
+
 class TestMeanAndLoss:
     def test_mean_gradient_is_one_over_n(self):
         x = T((4, 8))
