@@ -23,7 +23,6 @@ from .degrade import (
 )
 from .errors import (
     DecodeError,
-    EstimationError,
     ManifestError,
     MarsdustError,
     ValidationError,
@@ -202,16 +201,24 @@ def _cmd_remove(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(path: Path):
-        record = None
-        if variant == "analytic-known":
-            record = records.get(path.name)
-            if record is None:
-                raise ValidationError(f"no manifest record for {path.name}")
-        restored = remove_dust(load_image(path), method, record)
-        save_image(restored, out_dir / path.name, bit_depth=8)
+        """None once the restored image is written, else the error that stopped it."""
+        try:
+            record = None
+            if variant == "analytic-known":
+                record = records.get(path.name)
+                if record is None:
+                    raise ValidationError(f"no manifest record for {path.name}")
+            restored = remove_dust(load_image(path), method, record)
+            save_image(restored, out_dir / path.name, bit_depth=8)
+        except (MarsdustError, OSError) as exc:
+            return exc
+        return None
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        list(pool.map(one, paths))
+        errors = list(pool.map(one, paths))
+    codes = [_report(exc, str(path)) for path, exc in zip(paths, errors) if exc is not None]
+    if codes:  # every failed file has its line; the first one sets the exit code
+        return codes[0]
     print(f"restored {len(paths)} images into {out_dir}")
     return 0
 
@@ -240,6 +247,16 @@ _COMMANDS = {
 }
 
 
+def _report(exc: Exception, path: str = "") -> int:
+    """Print one ``error:`` (exit 1) or ``i/o error:`` (exit 2) line for
+    ``exc``, naming ``path`` unless the message already does; return the code."""
+    code = 2 if isinstance(exc, (OSError, DecodeError, ManifestError, WeightsFormatError)) else 1
+    message = f"{path}: {exc}" if path not in str(exc) else str(exc)
+    logger.error("%s", message)
+    print(f"{'i/o error' if code == 2 else 'error'}: {message}", file=sys.stderr)
+    return code
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -250,17 +267,8 @@ def run(argv) -> int:
     _setup_logging(args.verbose)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, EstimationError) as exc:
-        logger.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, DecodeError, ManifestError, WeightsFormatError) as exc:
-        logger.error("%s", exc)
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except MarsdustError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (MarsdustError, OSError) as exc:
+        return _report(exc)
 
 
 def main() -> None:

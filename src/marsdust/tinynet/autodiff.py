@@ -52,9 +52,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
-
     def backward(self):
         if self.data.size != 1:
             raise ValidationError(
@@ -147,13 +144,13 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    y = np.maximum(x.data, 0)
 
     def bw(g):
         if x.requires_grad:
-            _accum(x, g * mask)
+            _accum(x, g * (y > 0))
 
-    return _node(np.where(mask, x.data, 0.0), (x,), bw)
+    return _node(y, (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -203,26 +200,23 @@ def mean_all(x: Tensor) -> Tensor:
 
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bw(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, part in zip(tensors, np.split(g, cuts, axis=axis)):
             if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                _accum(t, g[tuple(index)])
+                _accum(t, part)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbour x2 along both spatial axes of a (B, C, H, W) tensor."""
-    b, c, h, w = x.data.shape
 
     def bw(g):
         if x.requires_grad:
-            _accum(x, g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)))
+            rows = g[:, :, 0::2] + g[:, :, 1::2]
+            _accum(x, rows[..., 0::2] + rows[..., 1::2])
 
     return _node(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,), bw)
 
@@ -238,81 +232,84 @@ def spatial_mean(x: Tensor) -> Tensor:
     return _node(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.data.dtype), (x,), bw)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(B, C*kh*kw, oh*ow) patch columns; a view when kh = kw = stride = 1."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    b, c, oh, ow = win.shape[:4]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
+def _tap_product(wk: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
+    """``wk @ xs`` per group; a broadcast multiply when the matrices are 1x1,
+    which numpy's matmul computes several times more slowly."""
+    if wk.shape[-2:] == (1, 1):
+        return np.multiply(wk, xs, out=out)
+    return np.matmul(wk, xs, out=out)
+
+
+def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, pad: int, op: str) -> Tensor:
+    """Grouped convolution, ``wg`` = w.data as (O, C/G, kh, kw): output group g
+    sees only input group g.  x is zero-padded, split into stride x stride
+    phases (padded rows a::s, columns e::s) and copied into channel-major
+    phase planes (s*s, C, B*hq*wq + slack), no im2col.  Output pixel
+    (b, y, x) is column q = (b*hq + y)*wq + x, and tap (i, j) reads column
+    q + (i//s)*wq + j//s of phase (i%s, j%s), so each tap is one GEMM with a
+    contiguous slice, forward and backward.  Columns outside the output grid
+    hold garbage that is never read."""
+    o, cg, kh, kw = wg.shape
+    bs, c, h, wd = x.data.shape
+    if cg * groups != c:
+        raise ValidationError(f"{op} channel mismatch: input {c}, weight expects {cg * groups}")
+    s = stride
+    hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
+    size = bs * hq * wq
+    valid = np.s_[: (h + 2 * pad - kh) // s + 1, : (wd + 2 * pad - kw) // s + 1]
+
+    def taps(buf):
+        for i in range(kh):
+            for j in range(kw):
+                off = i // s * wq + j // s
+                yield i, j, buf[i % s * s + j % s, ..., off : off + size]
+
+    def phases(buf):  # the (s, s, C, B, hq, wq) view of a phase-plane buffer
+        return buf[..., :size].reshape(s, s, c, bs, hq, wq)
+
+    def grid(buf):  # the (B, O, oh, ow) view of the output columns of (G, O/G, size)
+        return buf.reshape(o, bs, hq, wq)[(slice(None), slice(None)) + valid].transpose(1, 0, 2, 3)
+
+    xp = np.zeros((c, bs, s * hq, s * wq), dtype=x.data.dtype)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x.data.transpose(1, 0, 2, 3)
+    xf = np.zeros((s * s, groups, cg, size + (kh - 1) // s * wq + (kw - 1) // s), dtype=xp.dtype)
+    phases(xf)[...] = xp.reshape(c, bs, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
+    del xp  # the padded copy is not needed past this point; free it before the GEMMs
+    wt = wg.reshape(groups, o // groups, cg, kh, kw).transpose(3, 4, 0, 1, 2).copy()
+    yf = np.zeros((groups, o // groups, size), dtype=np.result_type(x.data, wg))
+    tmp = np.empty_like(yf)
+    for i, j, xs in taps(xf):
+        yf += _tap_product(wt[i, j], xs, out=tmp)
+    y = np.add(grid(yf), b.data.reshape(1, o, 1, 1), out=np.empty(grid(yf).shape, yf.dtype))
+
+    def bw(g):
+        gf = np.zeros_like(yf)
+        grid(gf)[...] = g  # garbage columns get no gradient
+        if b.requires_grad:
+            _accum(b, g.sum(axis=(0, 2, 3)))
+        if w.requires_grad:
+            dw = np.empty_like(wt)
+            for i, j, xs in taps(xf):
+                np.matmul(gf, xs.swapaxes(1, 2), out=dw[i, j])
+            _accum(w, dw.transpose(2, 3, 4, 0, 1).reshape(w.data.shape))
+        if x.requires_grad:
+            dxf = np.zeros_like(xf)
+            for i, j, dxs in taps(dxf):
+                dxs += _tap_product(wt[i, j].swapaxes(1, 2), gf)
+            dxp = phases(dxf).transpose(2, 3, 4, 0, 5, 1).reshape(c, bs, s * hq, s * wq)
+            _accum(x, dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3))
+
+    return _node(y, (x, w, b), bw)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Standard convolution: x (B,C,H,W), w (O,C,kh,kw), b (O,)."""
-    bs, c, h, wd = x.data.shape
-    o, ci, kh, kw = w.data.shape
-    if ci != c:
-        raise ValidationError(f"conv2d channel mismatch: input {c}, weight expects {ci}")
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    w2d = w.data.reshape(o, -1)
-    xp = x.data
-    if pad:  # np.pad copies even for zero padding, and the graph would keep the copy
-        xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, kh, kw, stride)
-    y = (w2d @ cols).reshape(bs, o, oh, ow)
-    y += b.data.reshape(1, o, 1, 1)
-
-    def bw(g):
-        gf = g.reshape(bs, o, oh * ow)
-        if b.requires_grad:
-            _accum(b, gf.sum(axis=(0, 2)))
-        if w.requires_grad:
-            dw = np.tensordot(gf, cols, axes=([0, 2], [0, 2]))
-            _accum(w, dw.reshape(w.data.shape))
-        if x.requires_grad:
-            dc = (w2d.T @ gf).reshape(bs, c, kh, kw, oh, ow)
-            dxp = np.zeros((bs, c, h + 2 * pad, wd + 2 * pad), dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dc[:, :, i, j]
-            _accum(x, dxp[:, :, pad : pad + h, pad : pad + wd])
-
-    return _node(y, (x, w, b), bw)
+    return _conv(x, w, b, w.data, 1, stride, pad, "conv2d")
 
 
 def dwconv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
     """Depthwise convolution: x (B,C,H,W), w (C,kh,kw), b (C,); stride 1."""
-    bs, c, h, wd = x.data.shape
-    cw, kh, kw = w.data.shape
-    if cw != c:
-        raise ValidationError(f"dwconv2d channel mismatch: input {c}, weight expects {cw}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = h + 2 * pad - kh + 1
-    ow = wd + 2 * pad - kw + 1
-    y = np.zeros((bs, c, oh, ow), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            y += xp[:, :, i : i + oh, j : j + ow] * w.data[:, i, j][None, :, None, None]
-    y += b.data.reshape(1, c, 1, 1)
-
-    def bw(g):
-        if b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            dw = np.empty_like(w.data)
-            for i in range(kh):
-                for j in range(kw):
-                    dw[:, i, j] = (g * xp[:, :, i : i + oh, j : j + ow]).sum(axis=(0, 2, 3))
-            _accum(w, dw)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + oh, j : j + ow] += g * w.data[:, i, j][None, :, None, None]
-            if pad:
-                dxp = dxp[:, :, pad:-pad, pad:-pad]
-            _accum(x, dxp)
-
-    return _node(y, (x, w, b), bw)
+    return _conv(x, w, b, w.data[:, None], w.data.shape[0], 1, pad, "dwconv2d")
 
 
 def loss_l1(pred: Tensor, target: Tensor) -> Tensor:

@@ -59,18 +59,11 @@ class TrainReport:
     train_config: dict
     net_config: dict
     epoch_losses: list[float] = field(default_factory=list)
+    epoch_seconds: list[float] = field(default_factory=list)
     seconds: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "train_config": self.train_config,
-                "net_config": self.net_config,
-                "epoch_losses": self.epoch_losses,
-                "seconds": self.seconds,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -152,6 +145,7 @@ def train(
 
     report = TrainReport(train_config=asdict(cfg), net_config=asdict(net))
     for epoch in range(cfg.epochs):
+        t_epoch = time.monotonic()
         rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, epoch)))
         losses = []
         for _ in range(steps):
@@ -178,6 +172,7 @@ def train(
             losses.append(float(loss.data))
         epoch_loss = math.fsum(losses) / len(losses)
         report.epoch_losses.append(epoch_loss)
+        report.epoch_seconds.append(time.monotonic() - t_epoch)
         logger.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, epoch_loss)
 
     trained = {name: params[name].data.astype(np.float32) for name in sorted(params)}

@@ -2,12 +2,14 @@
 
 Clean images are procedural Mars-like terrain (warm palette, shadowed relief)
 so that estimation heuristics have realistic dark structure to work with.
-The corpus and the trained model are session-scoped: training runs once and
-is reused by every test that needs a learned model.  ``png_blob`` assembles
-hand-built PNG files without going through ``marsdust.pngio``.
+The corpus, the trained model and the full-network gradient check are
+session-scoped: each runs once and is reused by every test that needs it.
+``png_blob`` assembles hand-built PNG files without going through
+``marsdust.pngio``.
 """
 
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -18,6 +20,8 @@ from marsdust.noise import PerlinParams, perlin2d
 from marsdust.raster import Image, save_image
 from marsdust.rng import mix64
 from marsdust.tinynet import NetConfig, TrainConfig, train
+
+from gradcheck import MINIATURE, build_conditioned_net, fd_full_gradient_check
 
 
 def make_clean_image(seed: int, width: int = 128, height: int = 128) -> Image:
@@ -114,3 +118,22 @@ def trained_model(desk_corpus, tmp_path_factory):
     net = NetConfig(base_width=8)
     report = train(cfg, net, desk_corpus["manifest"], out)
     return {"weights_path": out, "report": report, "net": net, "train_config": cfg}
+
+
+@pytest.fixture(scope="session")
+def full_network_gradcheck():
+    """Finite differences against backprop for every parameter of the
+    miniature network (init seed 3, input seed 5, step 1e-3), and the
+    seconds the check took."""
+    t0 = time.monotonic()
+    cfg = MINIATURE  # 2-channel 8x8 input, width 4
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.3, 0.7, (1, cfg.in_channels, 8, 8))
+    target = rng.uniform(0.3, 0.7, (1, cfg.in_channels, 8, 8))
+    params = build_conditioned_net(cfg, seed=3, x=x)
+    worst = fd_full_gradient_check(cfg, params, x, target, step=1e-3)
+    return {
+        "worst": worst,
+        "seconds": time.monotonic() - t0,
+        "n_params": sum(p.data.size for p in params.values()),
+    }

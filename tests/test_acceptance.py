@@ -30,7 +30,6 @@ from marsdust.rng import mix64
 from marsdust.tinynet import load_weights, save_weights
 
 from conftest import make_clean_image, make_dust_patches
-from gradcheck import MINIATURE, build_conditioned_net, fd_full_gradient_check
 from test_degrade import reflexivity_oracle
 
 
@@ -59,18 +58,12 @@ def test_criterion_1_forward_inverse_roundtrip():
     report(1, f"100 round trips, max abs error {worst:.2e}, {elapsed:.1f} s")
 
 
-def test_criterion_2_gradient_correctness():
-    t0 = time.monotonic()
-    cfg = MINIATURE  # 2-channel 8x8 input, width 4
-    rng = np.random.default_rng(5)
-    x = rng.uniform(0.3, 0.7, (1, cfg.in_channels, 8, 8))
-    target = rng.uniform(0.3, 0.7, (1, cfg.in_channels, 8, 8))
-    params = build_conditioned_net(cfg, seed=3, x=x)
-    worst = fd_full_gradient_check(cfg, params, x, target, step=1e-3)
-    elapsed = time.monotonic() - t0
-    n_params = sum(p.data.size for p in params.values())
+def test_criterion_2_gradient_correctness(full_network_gradcheck):
+    worst = full_network_gradcheck["worst"]
+    elapsed = full_network_gradcheck["seconds"]
     assert worst < 1e-4, f"max relative error {worst:.3e}"
     assert elapsed < 120.0, f"took {elapsed:.1f} s"
+    n_params = full_network_gradcheck["n_params"]
     report(2, f"{n_params} parameters, max relative error {worst:.2e}, {elapsed:.1f} s")
 
 

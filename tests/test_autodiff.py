@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marsdust.errors import ValidationError
 from marsdust.tinynet import Tensor, loss_l1
@@ -206,6 +208,71 @@ class TestMoreConvGoldens:
     def test_conv2d_non_square(self, stride, want):
         x, w, b = dyadic((2, 3, 7, 5), 1), dyadic((4, 3, 3, 3), 2), dyadic((4,), 3)
         assert probed_digests(ad.conv2d(x, w, b, stride, 1), x, w, b) == want
+
+
+def naive_conv(x, w, b, g, stride, pad, depthwise):
+    """Output and x/w/b gradients for output gradient ``g``, one output pixel
+    at a time, in float64.  Depthwise weights are (C, k, k)."""
+    bs, _, h, wd = x.shape
+    k = w.shape[-1]
+    oh, ow = g.shape[2], g.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    y = np.zeros(g.shape)
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for n in range(bs):
+        for r in range(oh):
+            for c in range(ow):
+                rows = np.s_[n, :, r * stride : r * stride + k, c * stride : c * stride + k]
+                win = xp[rows]
+                if depthwise:
+                    y[n, :, r, c] = (win * w).sum(axis=(1, 2)) + b
+                    dw += g[n, :, r, c, None, None] * win
+                    dxp[rows] += g[n, :, r, c, None, None] * w
+                else:
+                    y[n, :, r, c] = np.tensordot(w, win, 3) + b
+                    dw += g[n, :, r, c, None, None, None] * win
+                    dxp[rows] += np.tensordot(g[n, :, r, c], w, 1)
+    return y, dxp[:, :, pad : pad + h, pad : pad + wd], dw, g.sum(axis=(0, 2, 3))
+
+
+@st.composite
+def conv_cases(draw, depthwise):
+    k = draw(st.sampled_from([3] if depthwise else [1, 3]))
+    stride = 1 if depthwise else draw(st.sampled_from([1, 2]))
+    pad = draw(st.sampled_from([0, 1]))
+    h = draw(st.integers(max(1, k - 2 * pad), 9))
+    wd = draw(st.integers(max(1, k - 2 * pad), 9).filter(lambda v: v != h))
+    bs, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    o = c if depthwise else draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, stride, pad, (bs, c, h, wd), o, seed
+
+
+class TestConvAgainstNaiveLoop:
+    """conv2d, dwconv2d and their gradients equal a per-output-pixel loop."""
+
+    def check(self, case, depthwise):
+        k, stride, pad, shape, o, seed = case
+        r = np.random.default_rng(seed)
+        wshape = (o, k, k) if depthwise else (o, shape[1], k, k)
+        x, w, b = (Tensor(r.standard_normal(s), requires_grad=True) for s in (shape, wshape, (o,)))
+        y = ad.dwconv2d(x, w, b, pad) if depthwise else ad.conv2d(x, w, b, stride, pad)
+        g = r.standard_normal(y.data.shape)
+        y._backward(g)
+        want = naive_conv(x.data, w.data, b.data, g, stride, pad, depthwise)
+        for got, ref in zip((y.data, x.grad, w.grad, b.grad), want):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=conv_cases(depthwise=False))
+    def test_conv2d(self, case):
+        self.check(case, depthwise=False)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=conv_cases(depthwise=True))
+    def test_dwconv2d(self, case):
+        self.check(case, depthwise=True)
 
 
 class TestMeanAndLoss:

@@ -216,6 +216,24 @@ def test_remove_jobs_zero_exits_1(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_remove_jobs_names_every_failed_file(workspace, tmp_path, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    good = (workspace / "clean" / "c0.png").read_bytes()
+    (src / "a_good.png").write_bytes(good)
+    for name in ("b_cut.png", "c_cut.png"):
+        (src / name).write_bytes(good[:60])
+    out = tmp_path / "out"
+    code = run(["remove", "--in", str(src), "--method", "analytic-est",
+                "--out", str(out), "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    lines = [line for line in err.splitlines() if line.startswith("i/o error:")]
+    assert len(lines) == 2
+    assert str(src / "b_cut.png") in lines[0] and str(src / "c_cut.png") in lines[1]
+    assert [p.name for p in out.iterdir()] == ["a_good.png"]
+
+
 def test_train_rejects_parallel_jobs(workspace, tmp_path):
     phi = tmp_path / "phi.json"
     manifest = tmp_path / "m.jsonl"

@@ -14,7 +14,7 @@ from marsdust.tinynet import (
 )
 from marsdust.tinynet import autodiff as ad
 
-from gradcheck import MINIATURE, build_conditioned_net, fd_full_gradient_check
+from gradcheck import MINIATURE
 
 
 class TestConfig:
@@ -134,12 +134,7 @@ class TestInferConfig:
 
 
 class TestGradient:
-    def test_full_network_matches_finite_differences(self):
+    def test_full_network_matches_finite_differences(self, full_network_gradcheck):
         # the central numerical property, on the miniature config
-        cfg = MINIATURE
-        rng = np.random.default_rng(5)
-        x = rng.uniform(0.3, 0.7, (1, cfg.in_channels, 8, 8))
-        target = rng.uniform(0.3, 0.7, (1, cfg.in_channels, 8, 8))
-        params = build_conditioned_net(cfg, seed=3, x=x)
-        worst = fd_full_gradient_check(cfg, params, x, target)
+        worst = full_network_gradcheck["worst"]
         assert worst < 1e-4, f"worst relative error {worst:.3e}"

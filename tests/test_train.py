@@ -71,6 +71,9 @@ class TestTraining:
         assert payload["train_config"]["lr"] == 1e-3
         assert payload["net_config"]["base_width"] == 4
         assert payload["epoch_losses"] == report.epoch_losses
+        assert payload["epoch_seconds"] == report.epoch_seconds
+        assert len(report.epoch_seconds) == 3 and all(t > 0 for t in report.epoch_seconds)
+        assert sum(report.epoch_seconds) <= report.seconds
 
     def test_seeded_determinism_byte_identical(self, tiny_manifest, tmp_path):
         cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=2, seed=9, patches_per_image=2)
