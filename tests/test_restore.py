@@ -1,9 +1,13 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
 from marsdust.degrade import (
     AtmosphericLight,
     TransmissionMap,
+    auto_select_dusty_patches,
     make_transmission,
     synthesize_dusty,
 )
@@ -203,3 +207,69 @@ class TestRemoveDust:
         n = len(records)
         for name, count in wins.items():
             assert count >= 0.9 * n, f"{name}: {count}/{n}"
+
+
+@functools.lru_cache(maxsize=1)
+def picker_frames() -> dict[str, Image]:
+    """Dusty conftest frames for the patch-picker goldens."""
+
+    def dusty(seed, w, h):
+        clean = make_clean_image(seed, w, h)
+        field = perlin2d(sample_params(mix64(seed, 0)), w, h)
+        light = AtmosphericLight(tuple(p * float(clean.data.max()) for p in (1.0, 0.8, 0.62)))
+        return synthesize_dusty(clean, make_transmission(field, 0.7), light)
+
+    # two 32px tiles, each laid out six times under quarter turns and flips:
+    # distinct tiles whose scores tie exactly
+    pair = dusty(75, 64, 32).data
+    a, b = pair[:, :32], pair[:, 32:]
+    turned = [np.rot90(t, k) for t in (a, b) for k in range(4)]
+    turned += [np.rot90(t, k)[:, ::-1] for t in (b, a) for k in (1, 3)]
+    rows = [np.concatenate(turned[i : i + 4], axis=1) for i in (0, 4, 8)]
+    return {
+        "rgb_200x130": dusty(71, 200, 130),  # partial tiles on both axes
+        "rgb_256x192": dusty(72, 256, 192),
+        "gray_96x160": Image(dusty(73, 96, 160).data[:, :, 1:2]),
+        # quantised to two levels; flat sub-tiles score exactly zero contrast
+        "two_level_128x96": Image(0.2 + 0.6 * np.round(dusty(74, 128, 96).data)),
+        "flat_96x64": Image(np.full((64, 96, 3), 0.6)),
+        "turned_tiles_128x96": Image(np.concatenate(rows, axis=0)),
+        "rgb_33x40": dusty(76, 33, 40),  # a single tile
+    }
+
+
+def picked_indices(img: Image, patches: list[Image]) -> list[int]:
+    """Row-major index of the tile each patch was cut from; a patch equal to
+    several tiles takes the first one not taken yet."""
+    t = 32
+    tiles = [img.data[y : y + t, x : x + t] for y in range(0, img.height - t + 1, t)
+             for x in range(0, img.width - t + 1, t)]
+    out = []
+    for p in patches:
+        out.append(next(k for k, tile in enumerate(tiles)
+                        if k not in out and np.array_equal(tile, p.data)))
+    return out
+
+
+class TestPickerGoldens:
+    """The heavy-dust tiles auto_select_dusty_patches picks, in order, and the
+    analytic-estimated removal that rests on them, pinned from the per-tile
+    crop-and-score implementation."""
+
+    WANT = {
+        "flat_96x64": ([0, 1, 2, 3, 4, 5], "ec400b8e53ecd98d2fbf07a1591f905fd95f76a434e4017157c16e3ab5a14f8b"),
+        "gray_96x160": ([6, 7, 0, 2, 3, 10, 1, 8], "42230412971a1c7c3ed3f761c4856a09f50b741193081e163231983f2748ddde"),
+        "rgb_200x130": ([23, 22, 20, 17, 15, 19, 16, 9], "726c471f3474b22ea224b73e4d2ce8fc218d3ec4eacb77ce4c3397d9e2d28d92"),
+        "rgb_256x192": ([31, 46, 12, 6, 47, 45, 37, 13], "b011dfa96a4a5e71ea61c1e9aa4d0b3c35763d1987d584023af128913c2ddd5c"),
+        "rgb_33x40": ([0], "f60e23dbcf065d82257277af63fd05c4b99c62bf65b34dec2bc71de84393d231"),
+        "turned_tiles_128x96": ([0, 1, 2, 3, 10, 11, 4, 5], "3eef7356ca3d9bf8d94355b74291349b7ea548f3340c6d18ec0bc708d6ff4810"),
+        "two_level_128x96": ([10, 3, 7, 11, 9, 8, 4, 6], "992210ded5427a5c1411c190acd313f39a89bcef8028acbfe8135325aea631a8"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WANT))
+    def test_picked_tiles_and_removal_digest(self, name):
+        img = picker_frames()[name]
+        indices, digest = self.WANT[name]
+        assert picked_indices(img, auto_select_dusty_patches(img)) == indices
+        out = remove_dust(img, RestoreMethod("analytic-estimated"))
+        assert hashlib.sha256(out.data.tobytes()).hexdigest() == digest
