@@ -7,7 +7,6 @@ from .degrade import (
     DatasetManifest,
     PairRecord,
     Reflexivity,
-    TransmissionMap,
     estimate_atmospheric_light,
     estimate_reflexivity,
     generate_pairs,
@@ -17,7 +16,7 @@ from .degrade import (
 )
 from .metrics import corpus_report, dust_index, psnr, ssim
 from .noise import NoiseField, PerlinParams, perlin2d, sample_params
-from .raster import Image, PatchRegion, augment, crop_patch, load_image, save_image
+from .raster import Image, load_image, save_image
 from .restore import RestoreMethod, estimate_transmission, invert_degradation, remove_dust
 
 __version__ = "0.1.0"
@@ -29,14 +28,10 @@ __all__ = [
     "Image",
     "NoiseField",
     "PairRecord",
-    "PatchRegion",
     "PerlinParams",
     "Reflexivity",
     "RestoreMethod",
-    "TransmissionMap",
-    "augment",
     "corpus_report",
-    "crop_patch",
     "dust_index",
     "estimate_atmospheric_light",
     "estimate_reflexivity",

@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, ManifestError, ValidationError
-from .metrics import dust_index
+from .metrics import tile_dust_scores
 from .noise import NoiseField, PerlinParams, perlin2d, sample_params
-from .raster import Image, PatchRegion, crop_patch, list_pngs, load_image, save_image
+from .raster import Image, list_pngs, load_image, save_image
 from .rng import mix64, shuffled
 
 logger = logging.getLogger(__name__)
@@ -37,10 +37,6 @@ ALPHA_SET = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 # Side and number of the square tiles auto_select_dusty_patches returns.
 _PATCH_TILE = 32
 _PATCH_COUNT = 8
-
-
-# Fraction of ground light reaching the sensor; 1 = clear, 0 = opaque.
-TransmissionMap = NoiseField
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,11 @@ class AtmosphericLight:
                 raise ValidationError(f"light values must be in [0, 1], got {v}")
 
 
-def make_transmission(noise: NoiseField, alpha: float) -> TransmissionMap:
+def make_transmission(noise: NoiseField, alpha: float) -> NoiseField:
     """T = 1 - alpha * M, elementwise; output lies in [1 - alpha, 1]."""
     if not 0 < alpha <= 1:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
-    return TransmissionMap(1.0 - alpha * noise.values)
+    return NoiseField(1.0 - alpha * noise.values)
 
 
 def estimate_reflexivity(patches: Sequence[Image]) -> Reflexivity:
@@ -117,7 +113,7 @@ def estimate_atmospheric_light(img: Image, phi: Reflexivity) -> AtmosphericLight
     return AtmosphericLight(tuple(p * peak for p in phi.phi))
 
 
-def synthesize_dusty(img: Image, tmap: TransmissionMap, light: AtmosphericLight) -> Image:
+def synthesize_dusty(img: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
     """Blend the clean image toward the atmospheric light, weighted by 1 - T."""
     if (tmap.height, tmap.width) != (img.height, img.width):
         raise ValidationError(
@@ -141,13 +137,12 @@ def auto_select_dusty_patches(img: Image) -> list[Image]:
     t = _PATCH_TILE
     if img.width < t or img.height < t:
         return [img]
-    scored = []
-    for ty in range(img.height // t):
-        for tx in range(img.width // t):
-            patch = crop_patch(img, PatchRegion(tx * t, ty * t, t, t))
-            scored.append((dust_index(patch), ty, tx, patch))
-    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [item[3] for item in scored[:_PATCH_COUNT]]
+    th, tw, c = img.height // t, img.width // t, img.channels
+    tiles = img.data[: th * t, : tw * t].reshape(th, t, tw, t, c).swapaxes(1, 2)
+    stack = tiles.reshape(th * tw, t, t, c)  # row-major tile order
+    # stable, so tied scores keep row-major order
+    order = np.argsort(-np.asarray(tile_dust_scores(stack)), kind="stable")
+    return [Image(stack[k]) for k in order[:_PATCH_COUNT]]
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class ValidationError(MarsdustError):
     """Invalid argument, parameter, or shape."""
 
 
-class BoundsError(ValidationError):
-    """A region or index lies outside its container."""
-
-
 class DecodeError(MarsdustError):
     """A file could not be decoded (bad format, corruption, unsupported feature)."""
 

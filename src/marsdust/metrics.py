@@ -32,22 +32,23 @@ _DARK_WINDOW = 7
 _TILE = 8  # side of the square tiles the contrast term is measured over
 
 
-def _luminance(img: Image) -> np.ndarray:
-    if img.channels == 1:
-        return img.data[:, :, 0]
-    r, g, b = img.data[:, :, 0], img.data[:, :, 1], img.data[:, :, 2]
-    return 0.299 * r + 0.587 * g + 0.114 * b
+def _luminance(arr: np.ndarray) -> np.ndarray:
+    """Luma of an ``(..., C)`` array; a gray channel is its own luma."""
+    if arr.shape[-1] == 1:
+        return arr[..., 0]
+    return 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
 
 
 def min_filter2d(arr: np.ndarray, size: int) -> np.ndarray:
-    """Windowed minimum with the window clipped at the image border."""
+    """Windowed minimum over the last two axes, the window clipped at the border."""
     edges = (size // 2, size - 1 - size // 2)
-    rows = np.pad(arr, (edges, (0, 0)), constant_values=np.inf)
-    out = sliding_window_view(rows, size, axis=0).min(-1)
-    cols = np.pad(out, ((0, 0), edges), constant_values=np.inf)
+    lead = [(0, 0)] * (arr.ndim - 2)
+    rows = np.pad(arr, lead + [edges, (0, 0)], constant_values=np.inf)
+    out = sliding_window_view(rows, size, axis=-2).min(-1)
+    cols = np.pad(out, lead + [(0, 0), edges], constant_values=np.inf)
     # window offset first, so the reduction steps over whole contiguous rows
     # rather than over `size` neighbouring values per pixel (20x slower)
-    return np.moveaxis(sliding_window_view(cols, size, axis=1), -1, 0).min(0)
+    return np.moveaxis(sliding_window_view(cols, size, axis=-1), -1, 0).min(0)
 
 
 def channel_min(arr: np.ndarray) -> np.ndarray:
@@ -61,6 +62,28 @@ def dark_channel(img: Image) -> np.ndarray:
     return min_filter2d(channel_min(img.data), _DARK_WINDOW)
 
 
+def _dust_scores(lum: np.ndarray, dark: np.ndarray) -> list[float]:
+    """The dust index of each of N images from their ``(N, h, w)`` luma and
+    dark channel."""
+    n, h, w = lum.shape
+    t = _TILE
+    if w < t or h < t:
+        raise ValidationError(f"image {w}x{h} smaller than tile {t}")
+    th, tw = h // t, w // t
+    tiles = lum[:, : th * t, : tw * t].reshape(n, th, t, tw, t).swapaxes(2, 3)
+    vals = np.sort(tiles.reshape(n, th * tw, t * t), axis=-1)
+    vals -= vals[..., :1]  # a flat tile is then exactly zero, with zero contrast
+    dev = vals - vals.mean(axis=-1, keepdims=True)
+    contrasts = np.sqrt((dev * dev).mean(axis=-1)).tolist()
+    darks = dark.reshape(n, h * w).tolist()
+    scores = []
+    for c, d in zip(contrasts, darks):
+        cbar = math.fsum(c) / len(c)
+        dbar = math.fsum(d) / len(d)
+        scores.append(0.5 * (1.0 - min(1.0, cbar / CONTRAST_NORM)) + 0.5 * dbar)
+    return scores
+
+
 def dust_index(img: Image) -> float:
     """No-reference dust density in [0, 1]; higher means more dust.
 
@@ -70,21 +93,14 @@ def dust_index(img: Image) -> float:
     shifted by the tile minimum, and the means over tiles and over the dark
     channel are exactly rounded, so the score is bit-stable under 90-degree
     rotations of square images, which only permute tiles and their values.
+    ``tile_dust_scores`` scores a stack of images with the same code.
     """
-    t = _TILE
-    if img.width < t or img.height < t:
-        raise ValidationError(f"image {img.width}x{img.height} smaller than tile {t}")
-    lum = _luminance(img)
-    th, tw = img.height // t, img.width // t
-    tiles = lum[: th * t, : tw * t].reshape(th, t, tw, t).swapaxes(1, 2)
-    vals = np.sort(tiles.reshape(th * tw, t * t), axis=1)
-    vals -= vals[:, :1]  # a flat tile is then exactly zero, with zero contrast
-    dev = vals - vals.mean(axis=1, keepdims=True)
-    contrasts = np.sqrt((dev * dev).mean(axis=1))
-    cbar = math.fsum(contrasts.tolist()) / len(contrasts)
-    dark = dark_channel(img)
-    dbar = math.fsum(dark.ravel().tolist()) / dark.size
-    return 0.5 * (1.0 - min(1.0, cbar / CONTRAST_NORM)) + 0.5 * dbar
+    return _dust_scores(_luminance(img.data)[None], dark_channel(img)[None])[0]
+
+
+def tile_dust_scores(tiles: np.ndarray) -> list[float]:
+    """``dust_index`` of each image of an ``(N, h, w, C)`` stack, in one pass."""
+    return _dust_scores(_luminance(tiles), min_filter2d(channel_min(tiles), _DARK_WINDOW))
 
 
 def psnr(a: Image, b: Image) -> float:

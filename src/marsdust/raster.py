@@ -1,4 +1,4 @@
-"""Image container plus codec I/O, patch extraction and augmentation.
+"""Image container plus PNG load/save and directory listing.
 
 An Image wraps a read-only float64 array shaped (height, width, channels)
 with channel-interleaved samples in [0, 1]; channels is 1 or 3.  All
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundsError, ValidationError
+from .errors import ValidationError
 from .pngio import read_png, write_png
 
 
@@ -56,16 +56,6 @@ class Image:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class PatchRegion:
-    """Axis-aligned rectangle, offsets from the top-left pixel."""
-
-    x0: int
-    y0: int
-    width: int
-    height: int
-
-
 def list_pngs(directory) -> list[Path]:
     """The PNG files in ``directory`` (suffix matched in any case), sorted."""
     return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".png")
@@ -86,28 +76,3 @@ def save_image(img: Image, path, bit_depth: int = 8) -> None:
     q = np.floor(img.data * maxval + 0.5)
     q = q.astype(np.uint8 if bit_depth == 8 else np.uint16)
     write_png(path, q, bit_depth)
-
-
-def crop_patch(img: Image, region: PatchRegion) -> Image:
-    """Copy a rectangular window out of the image."""
-    x0, y0, w, h = region.x0, region.y0, region.width, region.height
-    if w < 1 or h < 1:
-        raise BoundsError(f"patch dims must be >= 1, got {w}x{h}")
-    if x0 < 0 or y0 < 0 or x0 + w > img.width or y0 + h > img.height:
-        raise BoundsError(
-            f"region (x0={x0}, y0={y0}, {w}x{h}) outside image {img.width}x{img.height}"
-        )
-    return Image(img.data[y0 : y0 + h, x0 : x0 + w].copy())
-
-
-def augment(img: Image, rot90: int = 0, hflip: bool = False) -> Image:
-    """Rotate by rot90 quarter turns counter-clockwise, then flip left-right.
-
-    Pure pixel permutation: the multiset of sample values is preserved.
-    """
-    if rot90 not in (0, 1, 2, 3):
-        raise ValidationError(f"rot90 must be in 0..3, got {rot90}")
-    out = np.rot90(img.data, rot90, axes=(0, 1))
-    if hflip:
-        out = out[:, ::-1, :]
-    return Image(out.copy())

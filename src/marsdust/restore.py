@@ -22,7 +22,6 @@ import numpy as np
 from .degrade import (
     AtmosphericLight,
     PairRecord,
-    TransmissionMap,
     auto_select_dusty_patches,
     estimate_atmospheric_light,
     estimate_reflexivity,
@@ -30,7 +29,7 @@ from .degrade import (
 )
 from .errors import EstimationError, ValidationError
 from .metrics import channel_min, min_filter2d
-from .noise import perlin2d
+from .noise import NoiseField, perlin2d
 from .raster import Image
 
 DEFAULT_T_FLOOR = 0.05
@@ -59,7 +58,7 @@ class RestoreMethod:
 
 def invert_degradation(
     H: Image,
-    tmap: TransmissionMap,
+    tmap: NoiseField,
     light: AtmosphericLight,
     t_floor: float = DEFAULT_T_FLOOR,
 ) -> Image:
@@ -88,7 +87,7 @@ def estimate_transmission(
     window: int = 15,
     omega: float = 0.95,
     t_floor: float = DEFAULT_T_FLOOR,
-) -> TransmissionMap:
+) -> NoiseField:
     """Dark-channel transmission estimate: T = 1 - omega * windowed min ratio.
 
     The per-pixel ratio is min over channels of H / L; the windowed minimum is
@@ -110,7 +109,7 @@ def estimate_transmission(
     ratio = channel_min(H.data / low)
     dark = min_filter2d(ratio, window)
     values = np.clip(1.0 - omega * dark, t_floor, 1.0)
-    return TransmissionMap(values)
+    return NoiseField(values)
 
 
 @lru_cache(maxsize=2)

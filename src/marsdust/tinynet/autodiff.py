@@ -48,10 +48,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def backward(self):
         if self.data.size != 1:
             raise ValidationError(
@@ -79,8 +75,13 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add ``g`` into ``t.grad``.  The first gradient is stored as is, so ``g``
+    must be an array nothing else holds: ops that hand on their output
+    gradient or a view of it (add, sub, concat) pass a copy.  A strided ``g``
+    is made contiguous, so later reductions over the gradient sum in the same
+    order whatever op produced it."""
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if g.flags.c_contiguous else g.copy()
     else:
         t.grad += g
 
@@ -112,9 +113,9 @@ def add(a, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(a, _unbroadcast(g, a.data.shape).copy())
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+            _accum(b, _unbroadcast(g, b.data.shape).copy())
 
     return _node(a.data + b.data, (a, b), bw)
 
@@ -124,7 +125,7 @@ def sub(a, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(a, _unbroadcast(g, a.data.shape).copy())
         if b.requires_grad:
             _accum(b, _unbroadcast(-g, b.data.shape))
 
@@ -205,7 +206,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
     def bw(g):
         for t, part in zip(tensors, np.split(g, cuts, axis=axis)):
             if t.requires_grad:
-                _accum(t, part)
+                _accum(t, part.copy())
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 

@@ -42,12 +42,12 @@ class TrainConfig:
     patches_per_image: int = 8  # draws per record per epoch; sets the epoch length
 
     def __post_init__(self):
-        if self.patch % 4:
-            raise ValidationError(f"patch must be divisible by 4, got {self.patch}")
+        if self.patch < 4 or self.patch % 4:
+            raise ValidationError(f"patch must be a multiple of 4 and >= 4, got {self.patch}")
         if self.batch < 1:
             raise ValidationError(f"batch must be >= 1, got {self.batch}")
-        if not self.lr > 0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.patches_per_image < 1:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import threading
 
 import numpy as np
@@ -148,7 +149,7 @@ class TestConvGoldens:
     def test_output_and_gradient_digests(self, kernel, stride, pad, want):
         x, w, b = dyadic((2, 4, 8, 8), 1), dyadic((4, 4, kernel, kernel), 2), dyadic((4,), 3)
         y = ad.conv2d(x, w, b, stride, pad)
-        probe = Tensor(dyadic(y.shape, 4).data)  # y.size is a power of two, so 1/n is exact
+        probe = Tensor(dyadic(y.data.shape, 4).data)  # y.size is a power of two, so 1/n is exact
         ad.mean_all(ad.mul(y, probe)).backward()
         got = [hashlib.sha256(a.tobytes()).hexdigest() for a in (y.data, x.grad, w.grad, b.grad)]
         assert got == want
@@ -327,6 +328,24 @@ class TestBackward:
         y = ad.add(ad.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1 = 5
         y.backward()
         assert float(x.grad) == 5.0
+
+    @pytest.mark.parametrize("op,want_a,want_b", [
+        (ad.add, [[2.0, 4.0]], [[1.0, 2.0]]),
+        (ad.sub, [[2.0, 4.0]], [[-1.0, -2.0]]),
+        (lambda a, b: ad.concat([a, b], axis=0), [[1.5, 3.0]], [[0.5, 1.0]]),
+    ])
+    def test_no_two_tensors_share_a_gradient_buffer(self, op, want_a, want_b):
+        # add, sub and concat hand on their output gradient or views of it; a
+        # also reaches the root past op(a, b), so a shared buffer would take
+        # a's second gradient into b's or into op's output gradient
+        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+        joined = op(a, b)
+        y = ad.add(joined, a)
+        ad.mean_all(ad.mul(y, Tensor(np.array([[2.0, 4.0]])))).backward()
+        assert np.array_equal(a.grad, want_a) and np.array_equal(b.grad, want_b)
+        grads = [a.grad, b.grad, joined.grad, y.grad]
+        assert not any(np.shares_memory(g, h) for g, h in itertools.combinations(grads, 2))
 
     def test_graph_reusable_after_grad_reset(self):
         x = T((2, 2))

@@ -249,6 +249,25 @@ def test_train_rejects_parallel_jobs(workspace, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--patch", "0"), ("--patch", "-4"), ("--lr", "inf")])
+def test_train_rejects_degenerate_patch_and_lr(workspace, tmp_path, capsys, flag, value):
+    phi = tmp_path / "phi.json"
+    manifest = tmp_path / "m.jsonl"
+    run(["estimate-phi", "--patches", str(workspace / "patches"), "--out", str(phi)])
+    run([
+        "synth", "--clean", str(workspace / "clean"), "--phi", str(phi),
+        "--maps", "1", "--out", str(tmp_path / "d"), "--manifest", str(manifest), "--seed", "1",
+    ])
+    weights = tmp_path / "w.mdw"
+    code = run([
+        "train", "--manifest", str(manifest), "--patch", "16", "--batch", "2", "--epochs", "1",
+        "--width", "4", "--out", str(weights), flag, value,  # the last --patch wins
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not weights.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate-phi", "--patches", "p", "--out", "o", "--seed", "1"],
     ["estimate-phi", "--patches", "p", "--out", "o", "--jobs", "2"],

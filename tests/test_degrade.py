@@ -11,7 +11,6 @@ from marsdust.degrade import (
     DatasetManifest,
     PairRecord,
     Reflexivity,
-    TransmissionMap,
     auto_select_dusty_patches,
     estimate_atmospheric_light,
     estimate_reflexivity,
@@ -80,13 +79,12 @@ class TestTransmission:
         with pytest.raises(ValidationError):
             make_transmission(NoiseField(np.zeros((2, 2))), 1.1)
 
-    @pytest.mark.parametrize("field_type", [NoiseField, TransmissionMap])
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
-    def test_field_rejects_values_outside_unit_range(self, field_type, bad):
+    def test_field_rejects_values_outside_unit_range(self, bad):
         arr = np.full((2, 2), 0.5)
         arr[1, 0] = bad
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            field_type(arr)
+            NoiseField(arr)
 
 
 class TestReflexivity:
@@ -177,25 +175,25 @@ class TestSynthesize:
     def test_full_transmission_is_identity(self):
         rng = np.random.default_rng(3)
         img = Image(rng.random((5, 5, 3)))
-        out = synthesize_dusty(img, TransmissionMap(np.ones((5, 5))), AtmosphericLight((0.9, 0.8, 0.7)))
+        out = synthesize_dusty(img, NoiseField(np.ones((5, 5))), AtmosphericLight((0.9, 0.8, 0.7)))
         assert np.array_equal(out.data, img.data)
 
     def test_zero_transmission_is_light(self):
         rng = np.random.default_rng(4)
         img = Image(rng.random((5, 5, 3)))
         light = AtmosphericLight((0.9, 0.8, 0.7))
-        out = synthesize_dusty(img, TransmissionMap(np.zeros((5, 5))), light)
+        out = synthesize_dusty(img, NoiseField(np.zeros((5, 5))), light)
         assert np.allclose(out.data, np.array(light.values), rtol=0, atol=1e-15)
 
     def test_direct_arithmetic(self):
         img = Image(np.full((1, 1, 1), 0.8))
-        out = synthesize_dusty(img, TransmissionMap(np.full((1, 1), 0.5)), AtmosphericLight((0.6,)))
+        out = synthesize_dusty(img, NoiseField(np.full((1, 1), 0.5)), AtmosphericLight((0.6,)))
         assert abs(out.data[0, 0, 0] - 0.7) < 1e-15
 
     def test_convex_combination_bound(self):
         rng = np.random.default_rng(6)
         img = Image(rng.random((8, 8, 3)))
-        tmap = TransmissionMap(rng.random((8, 8)))
+        tmap = NoiseField(rng.random((8, 8)))
         light = AtmosphericLight((0.9, 0.5, 0.2))
         out = synthesize_dusty(img, tmap, light)
         low = np.minimum(img.data, np.array(light.values))
@@ -205,7 +203,7 @@ class TestSynthesize:
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             synthesize_dusty(
-                Image(np.zeros((4, 4, 1))), TransmissionMap(np.ones((3, 4))), AtmosphericLight((0.5,))
+                Image(np.zeros((4, 4, 1))), NoiseField(np.ones((3, 4))), AtmosphericLight((0.5,))
             )
 
 

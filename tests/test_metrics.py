@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marsdust.degrade import AtmosphericLight, make_transmission, synthesize_dusty
 from marsdust.errors import ValidationError
@@ -15,9 +17,10 @@ from marsdust.metrics import (
     min_filter2d,
     psnr,
     ssim,
+    tile_dust_scores,
 )
 from marsdust.noise import perlin2d, sample_params
-from marsdust.raster import Image, augment, save_image
+from marsdust.raster import Image, save_image
 from marsdust.rng import mix64
 
 from conftest import make_clean_image
@@ -69,7 +72,7 @@ class TestDustIndex:
         img = make_clean_image(37, 64, 64)
         base = dust_index(img)
         for rot in (1, 2, 3):
-            assert dust_index(augment(img, rot)) == base
+            assert dust_index(Image(np.rot90(img.data, rot))) == base
 
     def test_grayscale_supported(self):
         rng = np.random.default_rng(1)
@@ -78,6 +81,8 @@ class TestDustIndex:
     def test_too_small_image_rejected(self):
         with pytest.raises(ValidationError):
             dust_index(Image(np.zeros((4, 4, 3))))
+        with pytest.raises(ValidationError, match="smaller than tile 8"):
+            tile_dust_scores(np.zeros((2, 7, 7, 3)))
 
     def test_alpha_ordering_statistical(self):
         # dust index must be non-decreasing in alpha on >= 95% of random trials
@@ -146,6 +151,26 @@ class TestSsim:
     def test_window_size_guard(self):
         with pytest.raises(ValidationError):
             ssim(Image(np.zeros((8, 8, 1))), Image(np.zeros((8, 8, 1))))
+
+
+class TestTileDustScores:
+    """One vectorised pass over a tile stack scores each tile exactly as
+    ``dust_index`` scores it alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        side=st.integers(8, 40),
+        channels=st.sampled_from([1, 3]),
+        n=st.integers(1, 4),
+        levels=st.sampled_from([0, 2, 5]),  # 0: continuous samples
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_tile_dust_index(self, side, channels, n, levels, seed):
+        stack = np.random.default_rng(seed).random((n, side, side, channels))
+        if levels:
+            stack = np.round(stack * levels) / levels  # flat sub-tiles and tied values
+        want = [dust_index(Image(tile)) for tile in stack]
+        assert tile_dust_scores(stack) == want
 
 
 def golden_frames():

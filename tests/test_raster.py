@@ -4,9 +4,9 @@ import zlib
 import numpy as np
 import pytest
 
-from marsdust.errors import BoundsError, DecodeError, ValidationError
+from marsdust.errors import DecodeError, ValidationError
 from marsdust.pngio import write_png
-from marsdust.raster import Image, PatchRegion, augment, crop_patch, load_image, save_image
+from marsdust.raster import Image, load_image, save_image
 
 from conftest import png_blob
 
@@ -153,59 +153,3 @@ class TestCodec:
         p.write_bytes(png_blob(ihdr, zlib.compress(bytes(raw))))
         img = load_image(p)
         assert np.array_equal(np.round(img.data[:, :, 0] * 255).astype(int), rows)
-
-
-class TestCrop:
-    def test_full_crop_is_identity(self):
-        img = random_image(5)
-        out = crop_patch(img, PatchRegion(0, 0, img.width, img.height))
-        assert np.array_equal(out.data, img.data)
-
-    def test_single_pixel(self):
-        img = random_image(6)
-        out = crop_patch(img, PatchRegion(2, 3, 1, 1))
-        assert np.array_equal(out.data[0, 0], img.data[3, 2])
-
-    def test_crop_reembed_roundtrip(self):
-        # oracle: pasting the crop back at its offset reconstructs the image
-        img = random_image(7, 20, 20)
-        region = PatchRegion(4, 6, 9, 11)
-        patch = crop_patch(img, region)
-        canvas = img.data.copy()
-        canvas[region.y0 : region.y0 + region.height, region.x0 : region.x0 + region.width] = patch.data
-        assert np.array_equal(canvas, img.data)
-
-    def test_out_of_bounds_reports_dims(self):
-        img = random_image(8, 10, 10)
-        with pytest.raises(BoundsError, match="10x10"):
-            crop_patch(img, PatchRegion(5, 5, 6, 6))
-        with pytest.raises(BoundsError):
-            crop_patch(img, PatchRegion(-1, 0, 2, 2))
-
-
-class TestAugment:
-    def test_identity(self):
-        img = random_image(9)
-        assert np.array_equal(augment(img, 0, False).data, img.data)
-
-    def test_four_rotations_identity(self):
-        img = random_image(10)
-        out = img
-        for _ in range(4):
-            out = augment(out, 1, False)
-        assert np.array_equal(out.data, img.data)
-
-    def test_double_hflip_identity(self):
-        img = random_image(11)
-        assert np.array_equal(augment(augment(img, 0, True), 0, True).data, img.data)
-
-    @pytest.mark.parametrize("rot", [0, 1, 2, 3])
-    @pytest.mark.parametrize("flip", [False, True])
-    def test_sample_multiset_preserved(self, rot, flip):
-        img = random_image(12, 8, 13)
-        out = augment(img, rot, flip)
-        assert np.array_equal(np.sort(out.data.ravel()), np.sort(img.data.ravel()))
-
-    def test_bad_rotation_rejected(self):
-        with pytest.raises(ValidationError):
-            augment(random_image(13), 4, False)

@@ -6,14 +6,13 @@ import pytest
 
 from marsdust.degrade import (
     AtmosphericLight,
-    TransmissionMap,
     auto_select_dusty_patches,
     make_transmission,
     synthesize_dusty,
 )
 from marsdust.errors import EstimationError, ValidationError
 from marsdust.metrics import dust_index
-from marsdust.noise import perlin2d, sample_params
+from marsdust.noise import NoiseField, perlin2d, sample_params
 from marsdust.raster import Image, load_image
 from marsdust.restore import (
     RestoreMethod,
@@ -30,12 +29,12 @@ class TestInvert:
     def test_full_transmission_identity(self):
         rng = np.random.default_rng(0)
         H = Image(rng.random((6, 6, 3)))
-        out = invert_degradation(H, TransmissionMap(np.ones((6, 6))), AtmosphericLight((0.5, 0.5, 0.5)))
+        out = invert_degradation(H, NoiseField(np.ones((6, 6))), AtmosphericLight((0.5, 0.5, 0.5)))
         assert np.array_equal(out.data, H.data)
 
     def test_direct_arithmetic(self):
         H = Image(np.full((1, 1, 1), 0.7))
-        out = invert_degradation(H, TransmissionMap(np.full((1, 1), 0.5)), AtmosphericLight((0.6,)))
+        out = invert_degradation(H, NoiseField(np.full((1, 1), 0.5)), AtmosphericLight((0.6,)))
         assert abs(out.data[0, 0, 0] - 0.8) < 1e-12
 
     def test_roundtrip_property(self):
@@ -54,19 +53,19 @@ class TestInvert:
     def test_output_clamped_for_arbitrary_inputs(self):
         rng = np.random.default_rng(2)
         H = Image(rng.random((8, 8, 3)))
-        tmap = TransmissionMap(rng.random((8, 8)) * 0.2)  # heavy dust, below floor
+        tmap = NoiseField(rng.random((8, 8)) * 0.2)  # heavy dust, below floor
         out = invert_degradation(H, tmap, AtmosphericLight((1.0, 1.0, 1.0)))
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_t_floor_validated(self):
         H = Image(np.zeros((2, 2, 1)))
         with pytest.raises(ValidationError):
-            invert_degradation(H, TransmissionMap(np.ones((2, 2))), AtmosphericLight((0.5,)), t_floor=0.0)
+            invert_degradation(H, NoiseField(np.ones((2, 2))), AtmosphericLight((0.5,)), t_floor=0.0)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             invert_degradation(
-                Image(np.zeros((4, 4, 1))), TransmissionMap(np.ones((5, 4))), AtmosphericLight((0.5,))
+                Image(np.zeros((4, 4, 1))), NoiseField(np.ones((5, 4))), AtmosphericLight((0.5,))
             )
 
 
