@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,23 @@ def test_shuffled_256_is_permutation_and_seeded():
     # Perlin permutation tables: pinned so fields stay bit-identical
     assert t1[:8] == [132, 125, 181, 69, 17, 13, 184, 32]
     assert shuffled(list(range(256)), 0)[:8] == [99, 179, 124, 78, 196, 203, 221, 113]
+
+
+def test_field_digest_across_band_shapes():
+    # one sha256 over fields whose shapes cross row-band edges (wide, tall,
+    # single-row, single-column, odd) for 2-5 octaves plus a fine-scale,
+    # full-persistence set whose lattice indices wrap past 255 many times
+    draws = [sample_params(mix64(8, k)) for k in (0, 1, 3, 10)]
+    assert sorted(p.octaves for p in draws) == [2, 3, 4, 5]
+    draws.append(PerlinParams(3.0, 5, 2.2, 1.0, seed=2**64 - 1))
+    shapes = [(512, 512), (333, 97), (1, 700), (700, 1), (20000, 3), (129, 131)]
+    digest = hashlib.sha256()
+    for params in draws:
+        for width, height in shapes:
+            digest.update(perlin2d(params, width, height).values.tobytes())
+    assert digest.hexdigest() == (
+        "9f9b6d310d1800998b4625f0fe2e922696439153f0fa6b7d530110fc09f66c0d"
+    )
 
 
 class TestPerlin:
