@@ -77,7 +77,8 @@ def make_transmission(noise: NoiseField, alpha: float) -> NoiseField:
 def estimate_reflexivity(patches: Sequence[Image]) -> Reflexivity:
     """Average, over patches then pixels, of each channel over the per-pixel
     channel maximum.  Pixels whose channel maximum is zero are skipped (black
-    sensor artifacts); a patch with no usable pixels is dropped entirely.
+    sensor artifacts); a patch with no usable pixels is dropped entirely.  A
+    channel that is zero in every usable pixel is an EstimationError.
     """
     if not patches:
         raise EstimationError("empty patch set")
@@ -100,6 +101,9 @@ def estimate_reflexivity(patches: Sequence[Image]) -> Reflexivity:
     if not contributions:
         raise EstimationError("all patches are fully black; cannot estimate reflexivity")
     phi = np.mean(np.stack(contributions), axis=0)
+    dead = np.flatnonzero(phi == 0.0)
+    if dead.size:
+        raise EstimationError(f"patches carry no signal in channel {int(dead[0])}")
     return Reflexivity(tuple(float(v) for v in phi))
 
 

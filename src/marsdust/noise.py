@@ -8,7 +8,15 @@ weighted by persistence**o; the weighted sum is mapped affinely from
 Every octave hashes lattice corners through its own 256-entry permutation
 table built by rng.shuffled(list(range(256)), mix64(seed, octave)), and
 gradients come from the fixed 8-direction set below indexed by (hash & 7).
-This makes fields a pure, reproducible function of (params, width, height).
+The second hash step is folded into two 512-entry tables over the doubled
+permutation, gx[i] = _GRADS[table[i & 255] & 7, 0] and gy likewise, so corner
+(ix, iy) reads gx[table[ix & 255] + (iy & 255)].
+
+Fields are computed in bands of about _BAND_PIXELS pixels (whole rows), each
+summing every octave before the next band starts, so an octave's temporaries
+stay in cache.  Banding changes only the order pixels are visited: each value
+is a pure per-pixel function of (params, x, y), and a crop of a field equals
+the field of the cropped size, bit for bit.
 """
 
 from __future__ import annotations
@@ -79,48 +87,91 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
-def _raw_octave(fx: np.ndarray, fy: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Single-octave Perlin over coordinate grids; zero at integer lattice points."""
-    xi = np.floor(fx).astype(np.int64)
-    yi = np.floor(fy).astype(np.int64)
-    xf = fx - xi
-    yf = fy - yi
+# Pixels per band, rounded down to whole rows (at least one).  One float64
+# temporary is then 128 KiB, which keeps a band's working set in L2.  Swept
+# from 4K to 64K at 512x512: flat from 8K to 32K, slower at 4K and 64K.
+_BAND_PIXELS = 16_384
 
-    def corner_hash(ix, iy):
-        return table[(table[ix & 255] + (iy & 255)) & 255] & 7
 
-    h00 = corner_hash(xi, yi)
-    h10 = corner_hash(xi + 1, yi)
-    h01 = corner_hash(xi, yi + 1)
-    h11 = corner_hash(xi + 1, yi + 1)
+def _axis_terms(coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lattice index, fraction, fraction - 1 and fade weight of 1-D coordinates."""
+    i = np.floor(coords).astype(np.intp)
+    f = coords - i
+    return i, f, f - 1.0, _fade(f)
 
-    n00 = _GRADS[h00, 0] * xf + _GRADS[h00, 1] * yf
-    n10 = _GRADS[h10, 0] * (xf - 1.0) + _GRADS[h10, 1] * yf
-    n01 = _GRADS[h01, 0] * xf + _GRADS[h01, 1] * (yf - 1.0)
-    n11 = _GRADS[h11, 0] * (xf - 1.0) + _GRADS[h11, 1] * (yf - 1.0)
 
-    u = _fade(xf)
-    v = _fade(yf)
-    top = n00 + u * (n10 - n00)
-    bot = n01 + u * (n11 - n01)
-    return top + v * (bot - top)
+def _octave_terms(params: PerlinParams, octave: int, xs: np.ndarray, ys: np.ndarray):
+    """Everything of one octave that bands share: its folded gradient tables,
+    its column terms and its row terms (as (H, 1) columns)."""
+    freq = params.lacunarity**octave / params.scale
+    table = np.asarray(shuffled(list(range(256)), mix64(params.seed, octave)), dtype=np.intp)
+    h = np.concatenate([table, table]) & 7
+    xi, xf, xf1, u = _axis_terms(xs * freq)
+    yi, yf, yf1, v = _axis_terms(ys * freq)
+    cols = (table[xi & 255], table[(xi + 1) & 255], xf, xf1, u)
+    rows = (yi & 255, (yi + 1) & 255, yf, yf1, v)
+    return _GRADS[h, 0], _GRADS[h, 1], cols, tuple(r[:, None] for r in rows)
+
+
+def _dot_into(gx, gy, i, dx, dy) -> np.ndarray:
+    """gx[i] * dx + gy[i] * dy in a fresh buffer."""
+    n = gx[i]
+    n *= dx
+    t = gy[i]
+    t *= dy
+    n += t
+    return n
+
+
+def _lerp_into(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a + w * (b - a), written over b."""
+    b -= a
+    b *= w
+    b += a
+    return b
+
+
+def _raw_octave(gx, gy, cols, rows) -> np.ndarray:
+    """Single-octave Perlin over one band; zero at integer lattice points.
+
+    Works in place on band-sized buffers; each pixel still sees the float
+    operations of n00 + u * (n10 - n00) and so on, in the same order.
+    """
+    px0, px1, xf, xf1, u = cols
+    qy0, qy1, yf, yf1, v = rows
+    i0 = px0 + qy0
+    i1 = px1 + qy0
+    n00 = _dot_into(gx, gy, i0, xf, yf)
+    n10 = _dot_into(gx, gy, i1, xf1, yf)
+    np.add(px0, qy1, out=i0)
+    np.add(px1, qy1, out=i1)
+    n01 = _dot_into(gx, gy, i0, xf, yf1)
+    n11 = _dot_into(gx, gy, i1, xf1, yf1)
+    return _lerp_into(_lerp_into(n00, n10, u), _lerp_into(n01, n11, u), v)
 
 
 def perlin2d(params: PerlinParams, width: int, height: int) -> NoiseField:
     """Generate a multi-octave field; deterministic in (params, width, height)."""
     if width < 1 or height < 1:
         raise ValidationError(f"field dimensions must be >= 1, got {width}x{height}")
-    xs = np.arange(width, dtype=np.float64)[None, :]
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    total = np.zeros((height, width), dtype=np.float64)
+    xs = np.arange(width, dtype=np.float64)
+    ys = np.arange(height, dtype=np.float64)
+    octaves = []
     denom = 0.0
     for octave in range(params.octaves):
-        freq = params.lacunarity**octave / params.scale
         amp = params.persistence**octave
-        table = np.asarray(shuffled(list(range(256)), mix64(params.seed, octave)), dtype=np.int64)
-        total += amp * _raw_octave(xs * freq, ys * freq, table)
+        octaves.append((amp, *_octave_terms(params, octave, xs, ys)))
         denom += amp
-    values = 0.5 + 0.5 * (total / denom)
+    values = np.empty((height, width), dtype=np.float64)
+    step = max(1, _BAND_PIXELS // width)
+    for y0 in range(0, height, step):
+        band = slice(y0, y0 + step)
+        total = np.zeros((min(step, height - y0), width), dtype=np.float64)
+        for amp, gx, gy, cols, rows in octaves:
+            n = _raw_octave(gx, gy, cols, [r[band] for r in rows])
+            n *= amp
+            total += n
+        values[band] = 0.5 + 0.5 * (total / denom)
     np.clip(values, 0.0, 1.0, out=values)
     return NoiseField(values)
 

@@ -61,6 +61,31 @@ def test_estimate_phi_missing_dir_exits_2(tmp_path):
     assert run(["estimate-phi", "--patches", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.fixture
+def no_blue_frame(tmp_path):
+    arr = make_clean_image(3, 64, 64).data.copy()
+    arr[..., 2] = 0.0
+    d = tmp_path / "no_blue"
+    d.mkdir()
+    save_image(Image(arr), d / "frame.png", 8)
+    return d
+
+
+def test_estimate_phi_names_a_zero_channel(no_blue_frame, tmp_path, capsys):
+    out = tmp_path / "phi.json"
+    assert run(["estimate-phi", "--patches", str(no_blue_frame), "--out", str(out)]) == 1
+    assert "no signal in channel 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_remove_analytic_est_names_a_zero_channel(no_blue_frame, tmp_path, capsys):
+    out = tmp_path / "r"
+    code = run(["remove", "--in", str(no_blue_frame), "--method", "analytic-est",
+                "--out", str(out)])
+    assert code == 1
+    assert "no signal in channel 2" in capsys.readouterr().err
+
+
 def test_synth_counts_and_manifest(workspace, tmp_path):
     phi = tmp_path / "phi.json"
     assert run(["estimate-phi", "--patches", str(workspace / "patches"), "--out", str(phi)]) == 0

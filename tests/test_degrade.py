@@ -136,6 +136,12 @@ class TestReflexivity:
         with pytest.raises(EstimationError):
             estimate_reflexivity([Image(np.zeros((2, 2, 3)))])
 
+    def test_zero_channel_rejected_by_name(self):
+        arr = np.full((4, 4, 3), 0.5)
+        arr[..., 2] = 0.0
+        with pytest.raises(EstimationError, match="no signal in channel 2"):
+            estimate_reflexivity([Image(arr)])
+
     def test_phi_max_at_most_one(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -2,7 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from marsdust import noise
 from marsdust.errors import ValidationError
 from marsdust.noise import (
     LACUNARITY_RANGE,
@@ -49,6 +52,27 @@ def test_field_digest_across_band_shapes():
     assert digest.hexdigest() == (
         "9f9b6d310d1800998b4625f0fe2e922696439153f0fa6b7d530110fc09f66c0d"
     )
+
+
+@st.composite
+def _crop_case(draw):
+    # widths on either side of a row-band edge: 127-129 give bands of 129-127
+    # rows, so heights up to 300 cross one; from _BAND_PIXELS on, every row
+    # is its own band
+    band = noise._BAND_PIXELS
+    full_w = draw(st.sampled_from([1, 127, 128, 129, band - 1, band, band + 1]))
+    full_h = draw(st.integers(1, 300 if full_w <= 129 else 4))
+    w = draw(st.integers(1, full_w))
+    h = draw(st.integers(1, full_h))
+    return sample_params(draw(st.integers(0, 2**64 - 1))), full_w, full_h, w, h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_crop_case())
+def test_field_crop_equals_field_of_crop_size(case):
+    params, full_w, full_h, w, h = case
+    crop = perlin2d(params, full_w, full_h).values[:h, :w]
+    assert perlin2d(params, w, h).values.tobytes() == crop.tobytes()
 
 
 class TestPerlin:
