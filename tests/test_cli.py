@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marsdust.cli import run
-from marsdust.degrade import DatasetManifest
+from marsdust.degrade import DatasetManifest, PairRecord
 from marsdust.raster import Image, load_image, save_image
 
 from conftest import make_clean_image, make_dust_patches
@@ -388,6 +388,92 @@ def test_eval_skips_image_whose_clean_reference_is_truncated(workspace, tmp_path
     assert str(broken) in skip["reason"] and "truncated" in skip["reason"]
     assert [s["n"] for s in payload["sets"]] == [2]
     assert victim not in [row["path"] for row in payload["rows"]]
+
+
+GOLDEN_EVAL_JSON = """{
+  "sets": [
+    {
+      "label": "clean",
+      "n": 2,
+      "dust_index_mean": 0.2521188775630109,
+      "dust_index_std": 0.0023442031035657285
+    },
+    {
+      "label": "dusty",
+      "n": 2,
+      "dust_index_mean": 0.3811780690119969,
+      "dust_index_std": 0.1314033945525518,
+      "psnr_mean": "inf",
+      "ssim_mean": 0.8836065074669701
+    }
+  ],
+  "rows": [
+    {
+      "set": "clean",
+      "path": "<tmp>/clean/c0.png",
+      "dust_index": 0.24977467445944512
+    },
+    {
+      "set": "clean",
+      "path": "<tmp>/clean/c1.png",
+      "dust_index": 0.2544630806665766
+    },
+    {
+      "set": "dusty",
+      "path": "<tmp>/dusty/c0_d00.png",
+      "dust_index": 0.24977467445944512,
+      "psnr": "inf",
+      "ssim": 1.0
+    },
+    {
+      "set": "dusty",
+      "path": "<tmp>/dusty/c1_d00.png",
+      "dust_index": 0.5125814635645487,
+      "psnr": 14.23873553046784,
+      "ssim": 0.7672130149339402
+    }
+  ],
+  "skipped": [
+    {
+      "path": "<tmp>/dusty/broken.png",
+      "reason": "<tmp>/dusty/broken.png: truncated IDAT chunk"
+    }
+  ]
+}
+"""
+
+GOLDEN_EVAL_TABLE = """\
+set            n  dust_index (FADE-surrogate)       psnr     ssim
+-----------------------------------------------------------------
+clean          2            0.2521 +/- 0.0023          -        -
+dusty          2            0.3812 +/- 0.1314        inf   0.8836
+wrote <tmp>/r.json
+"""
+
+
+def test_eval_golden_report_and_table(tmp_path, capsys):
+    """Exact eval JSON and table: one pair reconstructs its clean file
+    (infinite PSNR), one is a fixed blend, and one truncated file is skipped."""
+    clean, dusty = tmp_path / "clean", tmp_path / "dusty"
+    clean.mkdir()
+    dusty.mkdir()
+    for i in range(2):
+        save_image(make_clean_image(900 + i, 24, 24), clean / f"c{i}.png", 8)
+    (dusty / "c0_d00.png").write_bytes((clean / "c0.png").read_bytes())
+    save_image(Image(0.6 * make_clean_image(901, 24, 24).data + 0.4 * 0.8), dusty / "c1_d00.png", 8)
+    (dusty / "broken.png").write_bytes((clean / "c1.png").read_bytes()[:60])
+    DatasetManifest([
+        PairRecord(str(clean / f"c{i}.png"), str(dusty / f"c{i}_d00.png"),
+                   64.0, 2, 2.0, 0.5, 0.4, (0.8, 0.8, 0.8), i)
+        for i in range(2)
+    ]).save(tmp_path / "pairs.jsonl")
+    capsys.readouterr()
+    assert run([
+        "eval", "--sets", f"clean={clean},dusty={dusty}",
+        "--pairs", str(tmp_path / "pairs.jsonl"), "--out", str(tmp_path / "r.json"),
+    ]) == 0
+    assert (tmp_path / "r.json").read_text().replace(str(tmp_path), "<tmp>") == GOLDEN_EVAL_JSON
+    assert capsys.readouterr().out.replace(str(tmp_path), "<tmp>") == GOLDEN_EVAL_TABLE
 
 
 def test_learned_pipeline_on_desk_corpus(desk_corpus, trained_model, tmp_path):

@@ -375,6 +375,29 @@ class TestManifest:
             "persistence", "alpha", "light", "seed",
         }
 
+    def test_golden_bytes(self, tmp_path):
+        # alpha 1.0 prints as 1, 1e-05 in exponent form, non-ASCII paths as
+        # JSON escapes, and the largest 64-bit seed in full
+        records = [
+            PairRecord("clean/c0.png", "dusty/c0_d00.png", 236.9454052575297, 4,
+                       1.9829781926228969, 0.43158122530329646, 1.0,
+                       (0.8549019607843137, 0.6839215686274407, 0.5300392156862777), 2**64 - 1),
+            PairRecord("clean/\u00e9t\u00e9/\u00df.png", "dusty/\u00e9t\u00e9_d01.png", 1e-05, 1,
+                       2.5, 0.5, 0.4, (1.0,), 0),
+        ]
+        path = tmp_path / "m.jsonl"
+        DatasetManifest(records).save(path)
+        assert path.read_bytes() == (
+            b'{"clean":"clean/c0.png","dusty":"dusty/c0_d00.png","scale":236.9454052575297,'
+            b'"octaves":4,"lacunarity":1.9829781926228969,"persistence":0.43158122530329646,'
+            b'"alpha":1,"light":[0.85490196078431369,0.68392156862744069,0.53003921568627765],'
+            b'"seed":18446744073709551615}\n'
+            b'{"clean":"clean/\\u00e9t\\u00e9/\\u00df.png","dusty":"dusty/\\u00e9t\\u00e9_d01.png",'
+            b'"scale":1.0000000000000001e-05,"octaves":1,"lacunarity":2.5,"persistence":0.5,'
+            b'"alpha":0.40000000000000002,"light":[1],"seed":0}\n'
+        )
+        assert DatasetManifest.load(path).records == records
+
     def test_malformed_json_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"clean": "a"\n')
