@@ -114,18 +114,23 @@ def _setup_logging(verbose: bool):
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _read_json(path, what: str):
+    """The parsed JSON of a small input file; ``what`` names it in errors."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise DecodeError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValidationError(f"{path}: {what} is not valid JSON ({exc})") from exc
+
+
 def _load_patches(source: str):
     path = Path(source)
     if path.is_dir():
         files = list_pngs(path)
     else:
-        try:
-            listed = json.loads(path.read_text())
-        except OSError as exc:
-            raise DecodeError(f"cannot read patch list {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{source}: patch list is not valid JSON ({exc})") from exc
-        if not isinstance(listed, list):
+        listed = _read_json(path, "patch list")
+        if not isinstance(listed, list) or not all(isinstance(p, str) for p in listed):
             raise ValidationError(f"{source}: patch list JSON must be an array of paths")
         files = [Path(p) for p in listed]
     if not files:
@@ -143,15 +148,13 @@ def _cmd_estimate_phi(args) -> int:
 
 
 def _read_phi(path) -> Reflexivity:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DecodeError(f"cannot read phi file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if "phi" not in obj:
-        raise ValidationError(f"{path}: missing 'phi' key")
-    return Reflexivity(tuple(float(v) for v in obj["phi"]))
+    obj = _read_json(path, "phi file")
+    phi = obj.get("phi") if isinstance(obj, dict) else None
+    if not isinstance(phi, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in phi
+    ):
+        raise ValidationError(f"{path}: phi file must be a JSON object whose 'phi' is a list of numbers")
+    return Reflexivity(tuple(float(v) for v in phi))
 
 
 def _cmd_synth(args) -> int:

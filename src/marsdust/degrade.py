@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -117,9 +117,10 @@ def estimate_atmospheric_light(img: Image, phi: Reflexivity) -> AtmosphericLight
     return AtmosphericLight(tuple(p * peak for p in phi.phi))
 
 
-def synthesize_dusty(img: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
-    """Blend the clean image toward the atmospheric light, weighted by 1 - T."""
-    if (tmap.height, tmap.width) != (img.height, img.width):
+def check_blend_inputs(img: Image, light: AtmosphericLight, tmap: NoiseField | None = None) -> np.ndarray:
+    """The light as a float64 vector, once it has one value per image channel
+    and ``tmap``, if given, has the image's size."""
+    if tmap is not None and (tmap.height, tmap.width) != (img.height, img.width):
         raise ValidationError(
             f"transmission {tmap.width}x{tmap.height} does not match image "
             f"{img.width}x{img.height}"
@@ -128,8 +129,13 @@ def synthesize_dusty(img: Image, tmap: NoiseField, light: AtmosphericLight) -> I
         raise ValidationError(
             f"light has {len(light.values)} channels, image has {img.channels}"
         )
+    return np.asarray(light.values, dtype=np.float64)
+
+
+def synthesize_dusty(img: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
+    """Blend the clean image toward the atmospheric light, weighted by 1 - T."""
+    low = check_blend_inputs(img, light, tmap)
     t = tmap.values[:, :, None]
-    low = np.asarray(light.values, dtype=np.float64)
     out = img.data * t + low * (1.0 - t)
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)
@@ -149,9 +155,33 @@ def auto_select_dusty_patches(img: Image) -> list[Image]:
     return [Image(stack[k]) for k in order[:_PATCH_COUNT]]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Per PairRecord field type: what a manifest value must be, a test of the
+# parsed JSON value, its Python value, and its manifest text.  Floats print
+# with 17 significant digits, which round-trips float64; since 1.0 prints as
+# 1, a JSON integer in a float field reads as a float.
+_FIELD_FORMATS = {
+    "str": ("a string", lambda v: isinstance(v, str), str, json.dumps),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int, str),
+    "float": ("a number", _is_number, float, lambda v: format(float(v), ".17g")),
+    "tuple[float, ...]": (
+        "a list of numbers",
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        lambda v: tuple(map(float, v)),
+        lambda v: "[" + ",".join(format(float(x), ".17g") for x in v) + "]",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class PairRecord:
-    """One clean/dusty pair plus everything needed to re-synthesize it."""
+    """One clean/dusty pair plus everything needed to re-synthesize it.
+
+    The fields, in order, are the keys of a manifest line.
+    """
 
     clean: str
     dusty: str
@@ -167,32 +197,29 @@ class PairRecord:
     def perlin_params(self) -> PerlinParams:
         return PerlinParams(self.scale, self.octaves, self.lacunarity, self.persistence, self.seed)
 
+    def transmission(self, width: int, height: int) -> NoiseField:
+        """The pair's transmission map at the given size."""
+        return make_transmission(perlin2d(self.perlin_params, width, height), self.alpha)
 
-def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
+    def to_line(self) -> str:
+        items = (f'"{f.name}":{_FIELD_FORMATS[f.type][3](getattr(self, f.name))}' for f in fields(self))
+        return "{" + ",".join(items) + "}"
 
-
-def _record_to_line(rec: PairRecord) -> str:
-    light = "[" + ",".join(_fmt17(v) for v in rec.light) + "]"
-    return (
-        "{"
-        f'"clean":{json.dumps(rec.clean)},'
-        f'"dusty":{json.dumps(rec.dusty)},'
-        f'"scale":{_fmt17(rec.scale)},'
-        f'"octaves":{rec.octaves},'
-        f'"lacunarity":{_fmt17(rec.lacunarity)},'
-        f'"persistence":{_fmt17(rec.persistence)},'
-        f'"alpha":{_fmt17(rec.alpha)},'
-        f'"light":{light},'
-        f'"seed":{rec.seed}'
-        "}"
-    )
-
-
-_RECORD_KEYS = {
-    "clean", "dusty", "scale", "octaves", "lacunarity", "persistence",
-    "alpha", "light", "seed",
-}
+    @classmethod
+    def from_json(cls, obj, where: str) -> "PairRecord":
+        """The record a parsed manifest line holds; ManifestError names
+        ``where`` and the first key with a wrong value."""
+        if not isinstance(obj, dict):
+            raise ManifestError(f"{where}: record must be a JSON object, got {type(obj).__name__}")
+        if set(obj) != {f.name for f in fields(cls)}:
+            raise ManifestError(f"{where}: unexpected record keys {sorted(obj)}")
+        values = {}
+        for f in fields(cls):
+            what, valid, convert, _ = _FIELD_FORMATS[f.type]
+            if not valid(obj[f.name]):
+                raise ManifestError(f"{where}: {f.name} must be {what}, got {obj[f.name]!r}")
+            values[f.name] = convert(obj[f.name])
+        return cls(**values)
 
 
 @dataclass
@@ -202,14 +229,13 @@ class DatasetManifest:
     records: list[PairRecord]
 
     def save(self, path) -> None:
-        lines = [_record_to_line(rec) for rec in self.records]
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(rec.to_line() for rec in self.records) + "\n")
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
         records = []
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -219,23 +245,7 @@ class DatasetManifest:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed JSON ({exc})") from exc
-            if set(obj) != _RECORD_KEYS:
-                raise ManifestError(
-                    f"{path}:{lineno}: unexpected record keys {sorted(obj)}"
-                )
-            records.append(
-                PairRecord(
-                    clean=obj["clean"],
-                    dusty=obj["dusty"],
-                    scale=float(obj["scale"]),
-                    octaves=int(obj["octaves"]),
-                    lacunarity=float(obj["lacunarity"]),
-                    persistence=float(obj["persistence"]),
-                    alpha=float(obj["alpha"]),
-                    light=tuple(float(v) for v in obj["light"]),
-                    seed=int(obj["seed"]),
-                )
-            )
+            records.append(PairRecord.from_json(obj, f"{path}:{lineno}"))
         return cls(records)
 
     def by_dusty_name(self) -> dict[str, PairRecord]:
@@ -252,9 +262,8 @@ class DatasetManifest:
 def replay_dusty(record: PairRecord) -> Image:
     """Re-synthesize a dusty image from its manifest tuple, bit-exactly."""
     clean = load_image(record.clean)
-    field = perlin2d(record.perlin_params, clean.width, clean.height)
-    tmap = make_transmission(field, record.alpha)
-    return synthesize_dusty(clean, tmap, AtmosphericLight(record.light))
+    return synthesize_dusty(clean, record.transmission(clean.width, clean.height),
+                            AtmosphericLight(record.light))
 
 
 def generate_pairs(
@@ -302,19 +311,8 @@ def generate_pairs(
             dusty = synthesize_dusty(clean, make_transmission(field, alpha), light)
             dusty_path = out_dir / f"{clean_path.stem}_d{j:02d}.png"
             save_image(dusty, dusty_path, bit_depth)
-            records.append(
-                PairRecord(
-                    clean=str(clean_path),
-                    dusty=str(dusty_path),
-                    scale=params.scale,
-                    octaves=params.octaves,
-                    lacunarity=params.lacunarity,
-                    persistence=params.persistence,
-                    alpha=alpha,
-                    light=light.values,
-                    seed=params.seed,
-                )
-            )
+            records.append(PairRecord(clean=str(clean_path), dusty=str(dusty_path), alpha=alpha,
+                                      light=light.values, **asdict(params)))
         return records
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

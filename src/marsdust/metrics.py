@@ -14,7 +14,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
+from statistics import fmean
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -168,6 +168,19 @@ class SetSummary:
     psnr_mean: float | None = None
     ssim_mean: float | None = None
 
+    @classmethod
+    def from_rows(cls, label: str, rows: list[dict]) -> "SetSummary":
+        """Mean and population spread of the rows' dust index, and their mean
+        PSNR and SSIM over the rows that carry them."""
+        dust = [row["dust_index"] for row in rows]
+        mean = fmean(dust)
+        std = math.sqrt(fmean([(v - mean) ** 2 for v in dust]))
+        paired = [row for row in rows if "psnr" in row]
+        if not paired:
+            return cls(label, len(dust), mean, std)
+        return cls(label, len(dust), mean, std,
+                   fmean([row["psnr"] for row in paired]), fmean([row["ssim"] for row in paired]))
+
 
 @dataclass
 class CorpusReport:
@@ -202,20 +215,14 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    mean = math.fsum(values) / len(values)
-    var = math.fsum((v - mean) ** 2 for v in values) / len(values)
-    return mean, math.sqrt(var)
-
-
 def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
     """Per-set dust-index statistics, plus PSNR/SSIM where a pairing is known.
 
-    ``sets`` maps label -> directory (or explicit list of paths).  When a
-    manifest is given, images whose filename matches a manifest dusty entry
-    are scored against their clean counterpart.  Unreadable images, and
-    scored images whose clean reference is unreadable, are skipped with a
-    warning and listed with the decode error in ``report.skipped``.
+    ``sets`` maps label -> directory.  When a manifest is given, images
+    whose filename matches a manifest dusty entry are scored against their
+    clean counterpart.  Unreadable images, and scored images whose clean
+    reference is unreadable, are skipped with a warning and listed with the
+    decode error in ``report.skipped``.
     Images are scored on ``jobs`` threads; rows keep input order.
     """
     records = pairs.by_dusty_name() if pairs is not None else {}
@@ -240,33 +247,16 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
         return row
 
     report = CorpusReport()
-    for label, source in sets.items():
-        if isinstance(source, (str, Path)):
-            paths = list_pngs(source)
-        else:
-            paths = [Path(p) for p in source]
-        if not paths:
-            raise ValidationError(f"set '{label}' is empty")
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for label, directory in sets.items():
+            paths = list_pngs(directory)
+            if not paths:
+                raise ValidationError(f"set '{label}' is empty")
             rows = list(pool.map(lambda p: score_one(label, p), paths))
-        dust_vals: list[float] = []
-        psnr_vals: list[float] = []
-        ssim_vals: list[float] = []
-        for row in rows:
-            if "reason" in row:
-                report.skipped.append(row)
-                continue
-            dust_vals.append(row["dust_index"])
-            if "psnr" in row:
-                psnr_vals.append(row["psnr"])
-                ssim_vals.append(row["ssim"])
-            report.rows.append(row)
-        if not dust_vals:
-            raise ValidationError(f"set '{label}' has no readable images")
-        mean, std = _mean_std(dust_vals)
-        summary = SetSummary(label, len(dust_vals), mean, std)
-        if psnr_vals:
-            summary.psnr_mean = math.fsum(psnr_vals) / len(psnr_vals)
-            summary.ssim_mean = math.fsum(ssim_vals) / len(ssim_vals)
-        report.sets.append(summary)
+            report.skipped += [row for row in rows if "reason" in row]
+            scored = [row for row in rows if "reason" not in row]
+            if not scored:
+                raise ValidationError(f"set '{label}' has no readable images")
+            report.rows += scored
+            report.sets.append(SetSummary.from_rows(label, scored))
     return report

@@ -23,13 +23,13 @@ from .degrade import (
     AtmosphericLight,
     PairRecord,
     auto_select_dusty_patches,
+    check_blend_inputs,
     estimate_atmospheric_light,
     estimate_reflexivity,
-    make_transmission,
 )
 from .errors import EstimationError, ValidationError
 from .metrics import channel_min, min_filter2d
-from .noise import NoiseField, perlin2d
+from .noise import NoiseField
 from .raster import Image
 
 DEFAULT_T_FLOOR = 0.05
@@ -65,17 +65,8 @@ def invert_degradation(
     """Invert the forward blend; output clamped to [0, 1]."""
     if not 0 < t_floor < 1:
         raise ValidationError(f"t_floor must be in (0, 1), got {t_floor}")
-    if (tmap.height, tmap.width) != (H.height, H.width):
-        raise ValidationError(
-            f"transmission {tmap.width}x{tmap.height} does not match image "
-            f"{H.width}x{H.height}"
-        )
-    if len(light.values) != H.channels:
-        raise ValidationError(
-            f"light has {len(light.values)} channels, image has {H.channels}"
-        )
+    low = check_blend_inputs(H, light, tmap)
     t = np.maximum(tmap.values, t_floor)[:, :, None]
-    low = np.asarray(light.values, dtype=np.float64)
     out = (H.data - low * (1.0 - t)) / t
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)
@@ -99,11 +90,7 @@ def estimate_transmission(
         raise ValidationError(f"omega must be in (0, 1], got {omega}")
     if not 0 < t_floor < 1:
         raise ValidationError(f"t_floor must be in (0, 1), got {t_floor}")
-    if len(light.values) != H.channels:
-        raise ValidationError(
-            f"light has {len(light.values)} channels, image has {H.channels}"
-        )
-    low = np.asarray(light.values, dtype=np.float64)
+    low = check_blend_inputs(H, light)
     if np.any(low == 0.0):
         raise EstimationError("atmospheric light has a zero channel; ratio undefined")
     ratio = channel_min(H.data / low)
@@ -134,9 +121,7 @@ def remove_dust(H: Image, method: RestoreMethod, record: PairRecord | None = Non
     if method.variant == "analytic-known":
         if record is None:
             raise ValidationError("analytic-known removal needs the pair's manifest record")
-        field = perlin2d(record.perlin_params, H.width, H.height)
-        tmap = make_transmission(field, record.alpha)
-        return invert_degradation(H, tmap, AtmosphericLight(record.light))
+        return invert_degradation(H, record.transmission(H.width, H.height), AtmosphericLight(record.light))
 
     if method.variant == "analytic-estimated":
         patches = auto_select_dusty_patches(H)

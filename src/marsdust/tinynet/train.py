@@ -30,6 +30,11 @@ logger = logging.getLogger(__name__)
 _INIT_SALT = 0x57E16B7
 # Share of samples fed clean -> clean, anchoring "no dust, no change".
 _IDENTITY_FRACTION = 0.1
+# AdamW's moment decays, denominator guard and decoupled weight decay.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 @dataclass(frozen=True)
@@ -72,33 +77,29 @@ class TrainReport:
 class AdamW:
     """Decoupled weight decay Adam; parameters updated in a fixed name order."""
 
-    def __init__(self, params: dict[str, Tensor], lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+    def __init__(self, params: dict[str, Tensor], lr):
         self.items = sorted(params.items())
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.items}
         self.v = {n: np.zeros_like(p.data) for n, p in self.items}
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p in self.items:
             g = p.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= self.lr * (update + self.weight_decay * p.data)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.data -= self.lr * (update + WEIGHT_DECAY * p.data)
 
     def zero_grad(self):
         for _, p in self.items:

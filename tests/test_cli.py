@@ -61,6 +61,37 @@ def test_estimate_phi_missing_dir_exits_2(tmp_path):
     assert run(["estimate-phi", "--patches", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("content", [b"[5]", b'["a.png", null]', b'{"a.png": 1}', b"\xff\xfe["])
+def test_estimate_phi_rejects_malformed_patch_list(tmp_path, capsys, content):
+    listing = tmp_path / "list.json"
+    listing.write_bytes(content)
+    assert run(["estimate-phi", "--patches", str(listing), "--out", str(tmp_path / "phi.json")]) == 1
+    assert "patch list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b'"phi"', b'{"phi": 5}', b'{"phi": ["a"]}', b'{"phi": [true, 0.5]}', b"[0.5]", b"{}", b"\xff\xfe{",
+])
+def test_synth_rejects_malformed_phi_file(workspace, tmp_path, capsys, content):
+    phi = tmp_path / "phi.json"
+    phi.write_bytes(content)
+    code = run([
+        "synth", "--clean", str(workspace / "clean"), "--phi", str(phi),
+        "--out", str(tmp_path / "dusty"), "--manifest", str(tmp_path / "m.jsonl"),
+    ])
+    assert code == 1
+    assert f"error: {phi}: phi file" in capsys.readouterr().err
+    assert not (tmp_path / "dusty").exists()
+
+
+def test_synth_missing_phi_file_exits_2(workspace, tmp_path):
+    code = run([
+        "synth", "--clean", str(workspace / "clean"), "--phi", str(tmp_path / "absent.json"),
+        "--out", str(tmp_path / "dusty"), "--manifest", str(tmp_path / "m.jsonl"),
+    ])
+    assert code == 2
+
+
 @pytest.fixture
 def no_blue_frame(tmp_path):
     arr = make_clean_image(3, 64, 64).data.copy()
@@ -315,9 +346,8 @@ def test_remove_reads_uppercase_png_suffix(workspace, tmp_path):
 
 
 @pytest.fixture()
-def shared_name_manifest(workspace, tmp_path):
-    """A synth manifest plus one record from another directory whose dusty
-    file has the same basename as the first record's."""
+def synth_pairs(workspace, tmp_path):
+    """The dusty directory and manifest of a one-map synth run."""
     phi = tmp_path / "phi.json"
     dusty = tmp_path / "dusty"
     manifest = tmp_path / "pairs.jsonl"
@@ -326,6 +356,14 @@ def shared_name_manifest(workspace, tmp_path):
         "synth", "--clean", str(workspace / "clean"), "--phi", str(phi),
         "--maps", "1", "--out", str(dusty), "--manifest", str(manifest), "--seed", "2",
     ]) == 0
+    return dusty, manifest
+
+
+@pytest.fixture()
+def shared_name_manifest(synth_pairs, tmp_path):
+    """A synth manifest plus one record from another directory whose dusty
+    file has the same basename as the first record's."""
+    dusty, manifest = synth_pairs
     m = DatasetManifest.load(manifest)
     first = m.records[0]
     m.records.append(replace(first, dusty=str(tmp_path / "other" / Path(first.dusty).name)))
@@ -352,6 +390,23 @@ def test_eval_rejects_shared_dusty_name(shared_name_manifest, tmp_path, capsys):
     assert code == 2
     assert "shared by" in capsys.readouterr().err
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("key, value", [("scale", "x"), ("light", 5), ("octaves", 2.5)])
+def test_manifest_value_of_wrong_type_exits_2(synth_pairs, tmp_path, capsys, key, value):
+    dusty, manifest = synth_pairs
+    lines = manifest.read_text().splitlines()
+    obj = json.loads(lines[1])
+    lines[1] = json.dumps({**obj, key: value})
+    manifest.write_text("\n".join(lines) + "\n")
+    for argv in (
+        ["remove", "--in", str(dusty), "--method", "analytic-known",
+         "--manifest", str(manifest), "--out", str(tmp_path / "restored")],
+        ["eval", "--sets", f"dusty={dusty}", "--pairs", str(manifest), "--out", str(tmp_path / "r.json")],
+        ["train", "--manifest", str(manifest), "--out", str(tmp_path / "w.mdw")],
+    ):
+        assert run(argv) == 2
+        assert f"i/o error: {manifest}:2: {key} must be" in capsys.readouterr().err
 
 
 def test_eval_missing_pairs_file_exits_2(workspace, tmp_path):

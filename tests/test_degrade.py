@@ -410,9 +410,47 @@ class TestManifest:
         with pytest.raises(ManifestError, match="keys"):
             DatasetManifest.load(p)
 
+    GOOD_LINE = {"clean": "a.png", "dusty": "b.png", "scale": 100.5, "octaves": 3,
+                 "lacunarity": 2.0, "persistence": 0.5, "alpha": 0.4, "light": [0.9, 0.8], "seed": 7}
+
+    @pytest.mark.parametrize("key, value", [
+        ("clean", 5), ("dusty", None), ("dusty", ["b.png"]),
+        ("scale", "x"), ("lacunarity", True), ("alpha", None), ("persistence", [0.5]),
+        ("light", 5), ("light", "0.9"), ("light", ["a"]), ("light", [0.9, False]),
+        ("octaves", 2.5), ("octaves", 2.0), ("octaves", True), ("octaves", "3"),
+        ("seed", 3.5), ("seed", False), ("seed", None),
+    ])
+    def test_wrong_value_type_names_line_and_key(self, tmp_path, key, value):
+        p = tmp_path / "m.jsonl"
+        good = json.dumps(self.GOOD_LINE)
+        p.write_text(good + "\n\n" + json.dumps({**self.GOOD_LINE, key: value}) + "\n")
+        with pytest.raises(ManifestError, match=f"m.jsonl:3: {key} must be"):
+            DatasetManifest.load(p)
+
+    def test_integers_in_float_fields_read_as_floats(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_text(json.dumps({**self.GOOD_LINE, "scale": 100, "alpha": 1, "light": [1, 0]}) + "\n")
+        (rec,) = DatasetManifest.load(p).records
+        assert (rec.scale, rec.alpha, rec.light) == (100.0, 1.0, (1.0, 0.0))
+        assert all(type(v) is float for v in (rec.scale, rec.alpha, *rec.light))
+        assert type(rec.octaves) is int and type(rec.seed) is int
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"clean"', "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        p = tmp_path / "m.jsonl"
+        p.write_text(line + "\n")
+        with pytest.raises(ManifestError, match="m.jsonl:1: record must be a JSON object"):
+            DatasetManifest.load(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ManifestError):
             DatasetManifest.load(tmp_path / "absent.jsonl")
+
+    def test_bytes_that_are_not_text_rejected(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_bytes(b"\xff\xfe\x00{\n")
+        with pytest.raises(ManifestError, match="cannot read manifest"):
+            DatasetManifest.load(p)
 
     def test_shared_dusty_name_rejected(self):
         a = PairRecord("c1/a.png", "d1/a_d00.png", 100.0, 2, 2.0, 0.5, 0.4, (0.9,), 1)

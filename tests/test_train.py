@@ -7,6 +7,7 @@ from marsdust.degrade import DatasetManifest, estimate_reflexivity, generate_pai
 from marsdust.errors import ValidationError
 from marsdust.raster import save_image
 from marsdust.tinynet import AdamW, NetConfig, Tensor, TrainConfig, train
+from marsdust.tinynet.train import WEIGHT_DECAY
 
 from conftest import make_clean_image, make_dust_patches
 
@@ -43,7 +44,7 @@ class TestAdamW:
     def test_single_step_matches_hand_computation(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.array([0.5, -0.25])
-        opt = AdamW({"p": p}, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+        opt = AdamW({"p": p}, lr=0.01)
         opt.step()
         g = np.array([0.5, -0.25])
         m_hat = (0.1 * g) / (1 - 0.9)
@@ -54,9 +55,9 @@ class TestAdamW:
     def test_decoupled_decay_moves_params_without_grad_history(self):
         p = Tensor(np.array([4.0]), requires_grad=True)
         p.grad = np.array([0.0])
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.5)
+        opt = AdamW({"p": p}, lr=0.1)
         opt.step()
-        assert p.data[0] == pytest.approx(4.0 - 0.1 * 0.5 * 4.0)
+        assert p.data[0] == pytest.approx(4.0 - 0.1 * WEIGHT_DECAY * 4.0)
 
 
 class TestTraining:
