@@ -17,7 +17,8 @@ from .degrade import (
 from .metrics import corpus_report, dust_index, psnr, ssim
 from .noise import NoiseField, PerlinParams, perlin2d, sample_params
 from .raster import Image, load_image, save_image
-from .restore import RestoreMethod, estimate_transmission, invert_degradation, remove_dust
+from .restore import estimate_transmission, invert_degradation, load_model
+from .restore import remove_estimated, remove_known, remove_learned
 
 __version__ = "0.1.0"
 
@@ -30,7 +31,6 @@ __all__ = [
     "PairRecord",
     "PerlinParams",
     "Reflexivity",
-    "RestoreMethod",
     "corpus_report",
     "dust_index",
     "estimate_atmospheric_light",
@@ -39,10 +39,13 @@ __all__ = [
     "generate_pairs",
     "invert_degradation",
     "load_image",
+    "load_model",
     "make_transmission",
     "perlin2d",
     "psnr",
-    "remove_dust",
+    "remove_estimated",
+    "remove_known",
+    "remove_learned",
     "replay_dusty",
     "sample_params",
     "save_image",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .metrics import corpus_report
 from .raster import list_pngs, load_image, save_image
-from .restore import RestoreMethod, remove_dust
+from .restore import load_model, remove_estimated, remove_known, remove_learned
 from .tinynet import NetConfig, TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -187,15 +187,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_remove(args) -> int:
-    variant = {"analytic-est": "analytic-estimated"}.get(args.method, args.method)
-    if variant == "learned" and not args.weights:
-        raise ValidationError("--method learned requires --weights")
-    method = RestoreMethod(variant, weights_path=args.weights)
-    records = {}
-    if variant == "analytic-known":
+    if args.method == "learned":
+        if not args.weights:
+            raise ValidationError("--method learned requires --weights")
+        model = load_model(args.weights)
+        restore = lambda path: remove_learned(load_image(path), model)
+    elif args.method == "analytic-known":
         if not args.manifest:
             raise ValidationError("--method analytic-known requires --manifest")
         records = DatasetManifest.load(args.manifest).by_dusty_name()
+
+        def restore(path: Path):
+            if path.name not in records:
+                raise ValidationError(f"no manifest record for {path.name}")
+            return remove_known(load_image(path), records[path.name])
+    else:
+        restore = lambda path: remove_estimated(load_image(path))
     in_dir = Path(args.in_dir)
     paths = list_pngs(in_dir)
     if not paths:
@@ -206,13 +213,7 @@ def _cmd_remove(args) -> int:
     def one(path: Path):
         """None once the restored image is written, else the error that stopped it."""
         try:
-            record = None
-            if variant == "analytic-known":
-                record = records.get(path.name)
-                if record is None:
-                    raise ValidationError(f"no manifest record for {path.name}")
-            restored = remove_dust(load_image(path), method, record)
-            save_image(restored, out_dir / path.name, bit_depth=8)
+            save_image(restore(path), out_dir / path.name, bit_depth=8)
         except (MarsdustError, OSError) as exc:
             return exc
         return None
@@ -231,8 +232,10 @@ def _cmd_eval(args) -> int:
     for piece in args.sets.split(","):
         if "=" not in piece:
             raise ValidationError(f"--sets entries must be label=dir, got {piece!r}")
-        label, directory = piece.split("=", 1)
-        sets[label.strip()] = directory.strip()
+        label, directory = (part.strip() for part in piece.split("=", 1))
+        if not label or label in sets:
+            raise ValidationError(f"--sets label {label!r} is {'repeated' if label else 'empty'}")
+        sets[label] = directory
     pairs = DatasetManifest.load(args.pairs) if args.pairs else None
     report = corpus_report(sets, pairs, jobs=args.jobs)
     Path(args.out).write_text(report.to_json() + "\n")

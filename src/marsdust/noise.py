@@ -21,6 +21,7 @@ the field of the cropped size, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ _GRADS = np.array(
     [[1, 1], [-1, 1], [1, -1], [-1, -1], [1, 0], [-1, 0], [0, 1], [0, -1]],
     dtype=np.float64,
 )
+
+# Most octaves a field may have; far above OCTAVES_RANGE, and each octave is
+# one more pass over the field.
+MAX_OCTAVES = 32
 
 
 @dataclass(frozen=True)
@@ -47,8 +52,8 @@ class PerlinParams:
     def __post_init__(self):
         if not self.scale > 0:
             raise ValidationError(f"scale must be > 0, got {self.scale}")
-        if self.octaves < 1:
-            raise ValidationError(f"octaves must be >= 1, got {self.octaves}")
+        if not 1 <= self.octaves <= MAX_OCTAVES:
+            raise ValidationError(f"octaves must be in [1, {MAX_OCTAVES}], got {self.octaves}")
         if not self.lacunarity > 1:
             raise ValidationError(f"lacunarity must be > 1, got {self.lacunarity}")
         if not 0 < self.persistence <= 1:
@@ -154,6 +159,19 @@ def perlin2d(params: PerlinParams, width: int, height: int) -> NoiseField:
     """Generate a multi-octave field; deterministic in (params, width, height)."""
     if width < 1 or height < 1:
         raise ValidationError(f"field dimensions must be >= 1, got {width}x{height}")
+    # The finest octave scales pixel coordinates by lacunarity**(octaves - 1)
+    # / scale.  From 2**52 on, a float64 coordinate has no fraction left (and
+    # soon no int64 lattice index), so both that factor and the field's longer
+    # side times it must stay below 2**52; log space keeps the check itself
+    # from overflowing.
+    grow = (params.octaves - 1) * math.log2(params.lacunarity)
+    reach = grow - math.log2(params.scale) + math.log2(max(width, height))
+    if not (grow < 52 and reach < 52):
+        raise ValidationError(
+            f"scale {params.scale}, lacunarity {params.lacunarity} and {params.octaves} octaves "
+            f"put {width}x{height} lattice coordinates at 2**{max(grow, reach):.4g}; "
+            f"they must stay below 2**52"
+        )
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
     octaves = []

@@ -1,9 +1,11 @@
-"""Dust removal: exact model inversion, a dark-channel baseline, and dispatch
-to the learned network.
+"""Dust removal: exact model inversion, a dark-channel baseline, and the
+learned network.  Each route is its own function: ``remove_known`` with a
+pair's manifest record, ``remove_estimated`` from the image alone, and
+``remove_learned`` with a model from ``load_model``.
 
 The analytic inverse solves the forward blend for the clean image:
 
-    C(x, c) = (H(x, c) - L(c) * (1 - T'(x))) / T'(x),   T' = max(T, t_floor)
+    C(x, c) = (H(x, c) - L(c) * (1 - T'(x))) / T'(x),   T' = max(T, T_FLOOR)
 
 The transmission floor bounds the 1/T noise amplification where heavy dust
 makes inversion ill-posed.  When the true (T, L) are unknown, a classic
@@ -13,7 +15,6 @@ artifact, not a published method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -27,75 +28,41 @@ from .degrade import (
     estimate_atmospheric_light,
     estimate_reflexivity,
 )
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, WeightsFormatError
 from .metrics import channel_min, min_filter2d
 from .noise import NoiseField
 from .raster import Image
 
-DEFAULT_T_FLOOR = 0.05
-
-VARIANTS = ("analytic-known", "analytic-estimated", "learned")
+T_FLOOR = 0.05
 
 
-@dataclass(frozen=True)
-class RestoreMethod:
-    """Which removal route to take, and the weights file of the learned one."""
-
-    variant: str
-    weights_path: str | None = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(
-                f"unknown restore variant {self.variant!r}; expected one of {VARIANTS}"
-            )
-        if self.variant == "learned":
-            if self.weights_path is None or not Path(self.weights_path).is_file():
-                raise ValidationError(
-                    f"learned variant requires a readable weights file, got {self.weights_path!r}"
-                )
-
-
-def invert_degradation(
-    H: Image,
-    tmap: NoiseField,
-    light: AtmosphericLight,
-    t_floor: float = DEFAULT_T_FLOOR,
-) -> Image:
+def invert_degradation(H: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
     """Invert the forward blend; output clamped to [0, 1]."""
-    if not 0 < t_floor < 1:
-        raise ValidationError(f"t_floor must be in (0, 1), got {t_floor}")
     low = check_blend_inputs(H, light, tmap)
-    t = np.maximum(tmap.values, t_floor)[:, :, None]
+    t = np.maximum(tmap.values, T_FLOOR)[:, :, None]
     out = (H.data - low * (1.0 - t)) / t
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)
 
 
 def estimate_transmission(
-    H: Image,
-    light: AtmosphericLight,
-    window: int = 15,
-    omega: float = 0.95,
-    t_floor: float = DEFAULT_T_FLOOR,
+    H: Image, light: AtmosphericLight, window: int = 15, omega: float = 0.95
 ) -> NoiseField:
     """Dark-channel transmission estimate: T = 1 - omega * windowed min ratio.
 
     The per-pixel ratio is min over channels of H / L; the windowed minimum is
-    clipped at the image border.  Output lies in [t_floor, 1].
+    clipped at the image border.  Output lies in [T_FLOOR, 1].
     """
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 1, got {window}")
     if not 0 < omega <= 1:
         raise ValidationError(f"omega must be in (0, 1], got {omega}")
-    if not 0 < t_floor < 1:
-        raise ValidationError(f"t_floor must be in (0, 1), got {t_floor}")
     low = check_blend_inputs(H, light)
     if np.any(low == 0.0):
         raise EstimationError("atmospheric light has a zero channel; ratio undefined")
     ratio = channel_min(H.data / low)
     dark = min_filter2d(ratio, window)
-    values = np.clip(1.0 - omega * dark, t_floor, 1.0)
+    values = np.clip(1.0 - omega * dark, T_FLOOR, 1.0)
     return NoiseField(values)
 
 
@@ -107,39 +74,39 @@ def _load_model(weights_path: str, mtime_ns: int):
     return weights, infer_config(weights)
 
 
-def _pad_to_multiple(arr: np.ndarray, mult: int) -> tuple[np.ndarray, int, int]:
-    h, w = arr.shape[1], arr.shape[2]
-    ph = (-h) % mult
-    pw = (-w) % mult
-    if ph or pw:
-        arr = np.pad(arr, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    return arr, h, w
+def load_model(weights_path):
+    """The (weights, config) pair of a ``.mdw`` file, for ``remove_learned``;
+    cached per path and modification time.  An unreadable or corrupt file is a
+    ``WeightsFormatError``."""
+    path = Path(weights_path)
+    try:
+        mtime_ns = path.stat().st_mtime_ns
+    except OSError as exc:
+        raise WeightsFormatError(f"cannot read weights file {path}: {exc}") from exc
+    return _load_model(str(path), mtime_ns)
 
 
-def remove_dust(H: Image, method: RestoreMethod, record: PairRecord | None = None) -> Image:
-    """Dispatch to the chosen removal route; output matches the input size."""
-    if method.variant == "analytic-known":
-        if record is None:
-            raise ValidationError("analytic-known removal needs the pair's manifest record")
-        return invert_degradation(H, record.transmission(H.width, H.height), AtmosphericLight(record.light))
+def remove_known(H: Image, record: PairRecord) -> Image:
+    """Exact inversion with the transmission and light of the pair's record."""
+    return invert_degradation(H, record.transmission(H.width, H.height), AtmosphericLight(record.light))
 
-    if method.variant == "analytic-estimated":
-        patches = auto_select_dusty_patches(H)
-        phi = estimate_reflexivity(patches)
-        light = estimate_atmospheric_light(H, phi)
-        return invert_degradation(H, estimate_transmission(H, light), light)
 
-    # learned
+def remove_estimated(H: Image) -> Image:
+    """Inversion with reflexivity, light and transmission estimated from H."""
+    patches = auto_select_dusty_patches(H)
+    phi = estimate_reflexivity(patches)
+    light = estimate_atmospheric_light(H, phi)
+    return invert_degradation(H, estimate_transmission(H, light), light)
+
+
+def remove_learned(H: Image, model) -> Image:
+    """The network's restoration of H, same size; ``model`` comes from ``load_model``."""
     from .tinynet import forward
 
-    path = Path(method.weights_path)
-    weights, cfg = _load_model(str(path), path.stat().st_mtime_ns)
+    weights, cfg = model
     if H.channels != cfg.in_channels:
-        raise ValidationError(
-            f"model expects {cfg.in_channels} channels, image has {H.channels}"
-        )
-    chw = np.moveaxis(H.data, 2, 0)
-    chw, h, w = _pad_to_multiple(chw, 4)
-    out = forward(weights, cfg, chw[None])[0]
-    out = out[:, :h, :w]
+        raise ValidationError(f"model expects {cfg.in_channels} channels, image has {H.channels}")
+    h, w = H.height, H.width  # edge-padded up to multiples of 4 for the two stride-2 layers
+    chw = np.pad(np.moveaxis(H.data, 2, 0), ((0, 0), (0, -h % 4), (0, -w % 4)), mode="edge")
+    out = forward(weights, cfg, chw[None])[0, :, :h, :w]
     return Image(np.moveaxis(out, 0, 2).copy())

@@ -25,7 +25,7 @@ from marsdust.errors import ManifestError, WeightsFormatError
 from marsdust.metrics import dust_index
 from marsdust.noise import PerlinParams, perlin2d, sample_params
 from marsdust.raster import Image, load_image, save_image
-from marsdust.restore import RestoreMethod, invert_degradation, remove_dust
+from marsdust.restore import invert_degradation, load_model, remove_learned
 from marsdust.rng import mix64
 from marsdust.tinynet import load_weights, save_weights
 
@@ -73,12 +73,12 @@ def test_criterion_3_training_convergence_and_dust_reduction(desk_corpus, traine
     assert final <= 0.5 * first, f"loss {first:.5f} -> {final:.5f}"
     assert rep.seconds < 900.0, f"training took {rep.seconds:.0f} s"
 
-    method = RestoreMethod("learned", weights_path=str(trained_model["weights_path"]))
+    model = load_model(trained_model["weights_path"])
     before, after = [], []
     for rec in desk_corpus["holdout_manifest"].records:
         dusty = load_image(rec.dusty)
         before.append(dust_index(dusty))
-        after.append(dust_index(remove_dust(dusty, method)))
+        after.append(dust_index(remove_learned(dusty, model)))
     mean_before = float(np.mean(before))
     mean_after = float(np.mean(after))
     reduction = (mean_before - mean_after) / mean_before
@@ -91,7 +91,7 @@ def test_criterion_3_training_convergence_and_dust_reduction(desk_corpus, traine
 
 
 def test_criterion_4_metric_ordering(desk_corpus, trained_model):
-    method = RestoreMethod("learned", weights_path=str(trained_model["weights_path"]))
+    model = load_model(trained_model["weights_path"])
     clean_scores = [
         dust_index(load_image(p)) for p in sorted(desk_corpus["clean_dir"].glob("*.png"))
     ]
@@ -99,7 +99,7 @@ def test_criterion_4_metric_ordering(desk_corpus, trained_model):
     for rec in desk_corpus["manifest"].records:
         dusty = load_image(rec.dusty)
         dusty_scores.append(dust_index(dusty))
-        restored_scores.append(dust_index(remove_dust(dusty, method)))
+        restored_scores.append(dust_index(remove_learned(dusty, model)))
     clean_mean = float(np.mean(clean_scores))
     restored_mean = float(np.mean(restored_scores))
     dusty_mean = float(np.mean(dusty_scores))

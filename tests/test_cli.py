@@ -167,8 +167,80 @@ def test_remove_learned_requires_weights(workspace, tmp_path):
     assert code == 1
 
 
+def test_remove_unknown_method_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "r"
+    code = run(["remove", "--in", str(workspace / "clean"), "--method", "magic", "--out", str(out)])
+    assert code == 1
+    assert "magic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_remove_missing_weights_file_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "r"
+    weights = tmp_path / "absent.mdw"
+    code = run(["remove", "--in", str(workspace / "clean"), "--method", "learned",
+                "--weights", str(weights), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"i/o error: cannot read weights file {weights}")
+    assert not out.exists()
+
+
+def test_remove_corrupt_weights_reported_once(workspace, tmp_path, capsys):
+    out = tmp_path / "r"
+    weights = tmp_path / "bad.mdw"
+    weights.write_bytes(b"not weights")
+    code = run(["remove", "--in", str(workspace / "clean"), "--method", "learned",
+                "--weights", str(weights), "--out", str(out), "--jobs", "2"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len([line for line in lines if line.startswith("i/o error:")]) == 1
+    assert str(weights) in lines[0]
+    assert not out.exists()
+
+
+def test_remove_known_names_a_file_without_record(synth_pairs, tmp_path, capsys):
+    dusty, manifest = synth_pairs
+    stray = dusty / "zz_stray.png"
+    stray.write_bytes(sorted(dusty.glob("*.png"))[0].read_bytes())
+    out = tmp_path / "restored"
+    code = run(["remove", "--in", str(dusty), "--method", "analytic-known",
+                "--manifest", str(manifest), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {stray}: no manifest record for zz_stray.png\n"
+    assert len(list(out.glob("*.png"))) == len(list(dusty.glob("*.png"))) - 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("octaves", 5000), ("octaves", 60), ("lacunarity", 1e200), ("scale", 1e-300)],
+)
+def test_remove_known_rejects_perlin_params_out_of_range(synth_pairs, tmp_path, capsys, key, value):
+    dusty, manifest = synth_pairs
+    lines = manifest.read_text().splitlines()
+    obj = json.loads(lines[0])
+    lines[0] = json.dumps({**obj, key: value})
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "restored"
+    code = run(["remove", "--in", str(dusty), "--method", "analytic-known",
+                "--manifest", str(manifest), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {obj['dusty']}: ")
+    assert key in err[0]
+
+
 def test_eval_bad_sets_syntax(tmp_path):
     assert run(["eval", "--sets", "nodirhere", "--out", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("sets, label", [("a={d},a={d}", "'a' is repeated"), ("={d}", "'' is empty"),
+                                         ("a={d}, a ={d}", "'a' is repeated")])
+def test_eval_rejects_repeated_or_empty_label(workspace, tmp_path, capsys, sets, label):
+    report_path = tmp_path / "r.json"
+    code = run(["eval", "--sets", sets.format(d=workspace / "clean"), "--out", str(report_path)])
+    assert code == 1
+    assert f"--sets label {label}" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):

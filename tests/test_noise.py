@@ -150,6 +150,35 @@ class TestPerlin:
         with pytest.raises(ValidationError):
             perlin2d(PerlinParams(8.0, 1, 2.0, 0.5, seed=0), 0, 5)
 
+    @pytest.mark.parametrize("octaves", [noise.MAX_OCTAVES + 1, 60, 5000, 20_000])
+    def test_octave_cap(self, octaves):
+        with pytest.raises(ValidationError, match="octaves"):
+            PerlinParams(100.0, octaves, 1.0000001, 0.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lacunarity=1e200),
+            dict(scale=1e-300),
+            # the factor alone would overflow, though the huge scale brings
+            # the coordinates back down
+            dict(scale=1e300, lacunarity=2.0**40, octaves=32),
+            dict(scale=1.0, lacunarity=3.0, octaves=32),
+        ],
+    )
+    def test_lattice_coordinates_past_2_pow_52_rejected(self, kwargs):
+        base = dict(scale=100.0, octaves=3, lacunarity=2.0, persistence=0.5, seed=0)
+        base.update(kwargs)
+        with pytest.raises(ValidationError, match=r"below 2\*\*52"):
+            perlin2d(PerlinParams(**base), 8, 8)
+
+    def test_coordinate_bound_counts_the_field_size(self):
+        # 2**45 per pixel: fine on an 8-pixel side, too far on a 256-pixel one
+        params = PerlinParams(2.0**-44, 2, 2.0, 0.5, seed=0)
+        assert perlin2d(params, 8, 1).width == 8
+        with pytest.raises(ValidationError, match=r"below 2\*\*52"):
+            perlin2d(params, 256, 1)
+
 
 class TestSampleParams:
     def test_golden_tuples(self):

@@ -10,15 +10,17 @@ from marsdust.degrade import (
     make_transmission,
     synthesize_dusty,
 )
-from marsdust.errors import EstimationError, ValidationError
+from marsdust.errors import EstimationError, ValidationError, WeightsFormatError
 from marsdust.metrics import dust_index
 from marsdust.noise import NoiseField, perlin2d, sample_params
 from marsdust.raster import Image, load_image
 from marsdust.restore import (
-    RestoreMethod,
     estimate_transmission,
     invert_degradation,
-    remove_dust,
+    load_model,
+    remove_estimated,
+    remove_known,
+    remove_learned,
 )
 from marsdust.rng import mix64
 
@@ -44,7 +46,7 @@ class TestInvert:
             C = Image(rng.random((24, 24, 3)))
             params = sample_params(mix64(31, trial))
             field = perlin2d(params, 24, 24)
-            tmap = make_transmission(field, 0.9)  # min T = 0.1 > t_floor
+            tmap = make_transmission(field, 0.9)  # min T = 0.1 > T_FLOOR
             light = AtmosphericLight(tuple(rng.uniform(0.3, 1.0, 3)))
             H = synthesize_dusty(C, tmap, light)
             back = invert_degradation(H, tmap, light)
@@ -56,11 +58,6 @@ class TestInvert:
         tmap = NoiseField(rng.random((8, 8)) * 0.2)  # heavy dust, below floor
         out = invert_degradation(H, tmap, AtmosphericLight((1.0, 1.0, 1.0)))
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
-
-    def test_t_floor_validated(self):
-        H = Image(np.zeros((2, 2, 1)))
-        with pytest.raises(ValidationError):
-            invert_degradation(H, NoiseField(np.ones((2, 2))), AtmosphericLight((0.5,)), t_floor=0.0)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
@@ -119,90 +116,80 @@ class TestEstimateTransmission:
         assert float(np.mean(errors)) <= 0.15
 
 
-class TestRestoreMethod:
-    def test_unknown_variant(self):
-        with pytest.raises(ValidationError, match="variant"):
-            RestoreMethod("magic")
+class TestLoadModel:
+    def test_missing_weights_file_is_a_weights_error(self, tmp_path):
+        with pytest.raises(WeightsFormatError, match="absent.mdw"):
+            load_model(tmp_path / "absent.mdw")
 
-    def test_learned_requires_readable_weights(self, tmp_path):
-        with pytest.raises(ValidationError, match="readable weights"):
-            RestoreMethod("learned", weights_path=str(tmp_path / "absent.mdw"))
-
-    def test_analytic_known_requires_record(self):
-        H = Image(np.full((8, 8, 3), 0.5))
-        with pytest.raises(ValidationError, match="record"):
-            remove_dust(H, RestoreMethod("analytic-known"))
+    def test_corrupt_weights_file_is_a_weights_error(self, tmp_path):
+        path = tmp_path / "bad.mdw"
+        path.write_bytes(b"not weights")
+        with pytest.raises(WeightsFormatError, match="bad magic"):
+            load_model(path)
 
 
 class TestRemoveDust:
     def test_analytic_known_recovers_clean(self, desk_corpus):
         from marsdust.degrade import replay_dusty
 
-        method = RestoreMethod("analytic-known")
         for rec in desk_corpus["manifest"].records[:6]:
             H = load_image(rec.dusty)
             C = load_image(rec.clean)
-            restored = remove_dust(H, method, rec)
-            # dusty went through 16-bit quantization; inversion amplifies by <= 1/t_floor
+            restored = remove_known(H, rec)
+            # dusty went through 16-bit quantization; inversion amplifies by <= 1/T_FLOOR
             assert np.abs(restored.data - C.data).max() < (0.5 / 65535) / 0.05 + 1e-9
             # pre-quantization, the manifest tuple inverts to the clean image
-            exact = remove_dust(replay_dusty(rec), method, rec)
+            exact = remove_known(replay_dusty(rec), rec)
             assert np.abs(exact.data - C.data).max() < 1e-6
 
     def test_analytic_estimated_reduces_dust(self, desk_corpus):
-        method = RestoreMethod("analytic-estimated")
         wins = 0
         records = desk_corpus["manifest"].records[:10]
         for rec in records:
             H = load_image(rec.dusty)
-            if dust_index(remove_dust(H, method)) < dust_index(H):
+            if dust_index(remove_estimated(H)) < dust_index(H):
                 wins += 1
         assert wins >= 9
 
     def test_output_dims_preserved_all_methods(self, desk_corpus, trained_model):
         rec = desk_corpus["manifest"].records[0]
         H = load_image(rec.dusty)
-        for method, record in [
-            (RestoreMethod("analytic-known"), rec),
-            (RestoreMethod("analytic-estimated"), None),
-            (RestoreMethod("learned", weights_path=str(trained_model["weights_path"])), None),
+        for out in [
+            remove_known(H, rec),
+            remove_estimated(H),
+            remove_learned(H, load_model(trained_model["weights_path"])),
         ]:
-            out = remove_dust(H, method, record)
             assert out.data.shape == H.data.shape
 
     def test_learned_handles_non_multiple_of_four_dims(self, trained_model):
         H = make_clean_image(77, 50, 46)
-        out = remove_dust(
-            H, RestoreMethod("learned", weights_path=str(trained_model["weights_path"]))
-        )
+        out = remove_learned(H, load_model(trained_model["weights_path"]))
         assert (out.height, out.width) == (46, 50)
 
     def test_learned_near_identity_on_zero_dust_input(self, desk_corpus, trained_model):
         # inputs synthesized with alpha -> 0 must pass through nearly unchanged
-        method = RestoreMethod("learned", weights_path=str(trained_model["weights_path"]))
+        model = load_model(trained_model["weights_path"])
         changes = []
         for i, rec in enumerate(desk_corpus["holdout_manifest"].records):
             C = load_image(rec.clean)
             field = perlin2d(rec.perlin_params, C.width, C.height)
             tmap = make_transmission(field, 0.01)
             H = synthesize_dusty(C, tmap, AtmosphericLight(rec.light))
-            restored = remove_dust(H, method)
+            restored = remove_learned(H, model)
             changes.append(abs(float(restored.data.mean() - H.data.mean())))
         assert max(changes) < 0.02
 
     def test_dust_index_strictly_decreases_for_every_method(self, desk_corpus, trained_model):
         # >= 90% of the 50-pair desk set must improve under each route
-        learned = RestoreMethod("learned", weights_path=str(trained_model["weights_path"]))
-        known = RestoreMethod("analytic-known")
-        est = RestoreMethod("analytic-estimated")
+        model = load_model(trained_model["weights_path"])
         records = desk_corpus["manifest"].records
         wins = {"learned": 0, "known": 0, "est": 0}
         for rec in records:
             H = load_image(rec.dusty)
             before = dust_index(H)
-            wins["learned"] += dust_index(remove_dust(H, learned)) < before
-            wins["known"] += dust_index(remove_dust(H, known, rec)) < before
-            wins["est"] += dust_index(remove_dust(H, est)) < before
+            wins["learned"] += dust_index(remove_learned(H, model)) < before
+            wins["known"] += dust_index(remove_known(H, rec)) < before
+            wins["est"] += dust_index(remove_estimated(H)) < before
         n = len(records)
         for name, count in wins.items():
             assert count >= 0.9 * n, f"{name}: {count}/{n}"
@@ -270,5 +257,5 @@ class TestPickerGoldens:
         img = picker_frames()[name]
         indices, digest = self.WANT[name]
         assert picked_indices(img, auto_select_dusty_patches(img)) == indices
-        out = remove_dust(img, RestoreMethod("analytic-estimated"))
+        out = remove_estimated(img)
         assert hashlib.sha256(out.data.tobytes()).hexdigest() == digest
