@@ -8,12 +8,16 @@ Verbosity comes from MARSDUST_LOG (error|warn|info|debug) or --verbose.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from .degrade import (
     DatasetManifest,
@@ -37,6 +41,33 @@ logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with the OpenBLAS that numpy loaded on one thread, then
+    restore its previous count, also on an exception.  Yields that count, or
+    None when no such library was found and the block runs as it is."""
+    numpy_dir = Path(np.__file__).parent
+    for path in [*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get, set_ = (getattr(lib, f"{prefix}{op}_num_threads{suffix}", None) for op in ("get", "set"))
+            if get and set_:
+                get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+                previous = get()
+                set_(1)
+                try:
+                    yield previous
+                finally:
+                    set_(previous)
+                return
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})  # numpy >= 1.26
+    logger.debug("no OpenBLAS thread control in numpy's libraries (BLAS: %s)", blas.get("name", "unknown"))
+    yield None
 
 
 class _UsageError(Exception):
@@ -124,8 +155,15 @@ def _read_json(path, what: str):
         raise ValidationError(f"{path}: {what} is not valid JSON ({exc})") from exc
 
 
+def _directory(text: str, flag: str) -> str:
+    """``text``, unless it is blank: ``Path("")`` is the working directory."""
+    if not text.strip():
+        raise ValidationError(f"{flag} names no directory")
+    return text
+
+
 def _load_patches(source: str):
-    path = Path(source)
+    path = Path(_directory(source, "--patches"))
     if path.is_dir():
         files = list_pngs(path)
     else:
@@ -160,7 +198,7 @@ def _read_phi(path) -> Reflexivity:
 def _cmd_synth(args) -> int:
     phi = _read_phi(args.phi)
     manifest = generate_pairs(
-        args.clean,
+        _directory(args.clean, "--clean"),
         phi,
         maps_per_image=args.maps,
         seed=args.seed,
@@ -203,7 +241,7 @@ def _cmd_remove(args) -> int:
             return remove_known(load_image(path), records[path.name])
     else:
         restore = lambda path: remove_estimated(load_image(path))
-    in_dir = Path(args.in_dir)
+    in_dir = Path(_directory(args.in_dir, "--in"))
     paths = list_pngs(in_dir)
     if not paths:
         raise ValidationError(f"no PNG images found in {in_dir}")
@@ -235,7 +273,7 @@ def _cmd_eval(args) -> int:
         label, directory = (part.strip() for part in piece.split("=", 1))
         if not label or label in sets:
             raise ValidationError(f"--sets label {label!r} is {'repeated' if label else 'empty'}")
-        sets[label] = directory
+        sets[label] = _directory(directory, f"--sets {label}")
     pairs = DatasetManifest.load(args.pairs) if args.pairs else None
     report = corpus_report(sets, pairs, jobs=args.jobs)
     Path(args.out).write_text(report.to_json() + "\n")
@@ -271,8 +309,9 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _setup_logging(args.verbose)
-    try:
-        return _COMMANDS[args.command](args)
+    try:  # with --jobs, the worker threads are the one source of parallelism
+        with one_blas_thread() if hasattr(args, "jobs") else contextlib.nullcontext():
+            return _COMMANDS[args.command](args)
     except (MarsdustError, OSError) as exc:
         return _report(exc)
 

@@ -12,6 +12,7 @@ save followed by load is bit-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -79,8 +80,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
         if rank > 8:
             raise WeightsFormatError(f"{path}: implausible rank {rank} for {name}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
-        n_values = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = r.take(4 * n_values, f"values of {name}")
+        payload = r.take(4 * math.prod(dims), f"values of {name}")  # Python ints: no wrap
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
         tensors[name] = arr
     if r.pos != len(blob):

@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,6 +199,18 @@ def test_remove_corrupt_weights_reported_once(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_remove_weights_whose_size_overflows_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "r"
+    weights = tmp_path / "bad.mdw"
+    weights.write_bytes(b"MDW1" + struct.pack("<IIIcI4I", 1, 1, 1, b"a", 4, 2, 3, 682295299, 3952736990))
+    code = run(["remove", "--in", str(workspace / "clean"), "--method", "learned",
+                "--weights", str(weights), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {weights}: truncated")
+    assert not out.exists()
+
+
 def test_remove_known_names_a_file_without_record(synth_pairs, tmp_path, capsys):
     dusty, manifest = synth_pairs
     stray = dusty / "zz_stray.png"
@@ -241,6 +254,26 @@ def test_eval_rejects_repeated_or_empty_label(workspace, tmp_path, capsys, sets,
     assert code == 1
     assert f"--sets label {label}" in capsys.readouterr().err
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--sets", "a=", "--out", "r.json"],
+    ["eval", "--sets", "a=clean, b= ", "--out", "r.json"],
+    ["remove", "--in", "", "--method", "analytic-est", "--out", "r"],
+    ["synth", "--clean", " ", "--phi", "phi.json", "--out", "r", "--manifest", "m.jsonl"],
+    ["estimate-phi", "--patches", "", "--out", "r.json"],
+])
+def test_empty_directory_argument_exits_1(workspace, tmp_path, monkeypatch, capsys, argv):
+    # an empty path is the working directory, which here holds PNGs
+    for png in (workspace / "clean").glob("*.png"):
+        (tmp_path / png.name).write_bytes(png.read_bytes())
+    (tmp_path / "clean").mkdir()
+    (tmp_path / "phi.json").write_text('{"phi": [0.8, 0.6, 0.4]}')
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(argv) == 1
+    assert "names no directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):

@@ -93,6 +93,16 @@ class TestFormatErrors:
         with pytest.raises(WeightsFormatError, match="truncated"):
             load_weights(p)
 
+    def test_dims_whose_product_overflows_int64(self, tmp_path):
+        # 2 * 3 * 682295299 * 3952736990 is past 2**63: the size must not wrap
+        p = tmp_path / "huge.mdw"
+        body = b"MDW1" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"a"
+        body += struct.pack("<5I", 4, 2, 3, 682295299, 3952736990)
+        p.write_bytes(body)
+        assert len(body) == 37
+        with pytest.raises(WeightsFormatError, match="truncated file while reading values of a"):
+            load_weights(p)
+
     def test_trailing_garbage(self, tmp_path):
         w = sample_weights()
         p = tmp_path / "g.mdw"
