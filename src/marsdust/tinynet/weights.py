@@ -81,8 +81,10 @@ def load_weights(path) -> dict[str, np.ndarray]:
             raise WeightsFormatError(f"{path}: implausible rank {rank} for {name}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
         payload = r.take(4 * math.prod(dims), f"values of {name}")  # Python ints: no wrap
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
-        tensors[name] = arr
+        try:  # a zero dim lets the others be too large for numpy to address
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+        except ValueError as exc:
+            raise WeightsFormatError(f"{path}: cannot shape {name} as {dims} ({exc})") from exc
     if r.pos != len(blob):
         raise WeightsFormatError(f"{path}: {len(blob) - r.pos} trailing bytes after last tensor")
     return tensors
