@@ -21,34 +21,3 @@ from .restore import estimate_transmission, invert_degradation, load_model
 from .restore import remove_estimated, remove_known, remove_learned
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALPHA_SET",
-    "AtmosphericLight",
-    "DatasetManifest",
-    "Image",
-    "NoiseField",
-    "PairRecord",
-    "PerlinParams",
-    "Reflexivity",
-    "corpus_report",
-    "dust_index",
-    "estimate_atmospheric_light",
-    "estimate_reflexivity",
-    "estimate_transmission",
-    "generate_pairs",
-    "invert_degradation",
-    "load_image",
-    "load_model",
-    "make_transmission",
-    "perlin2d",
-    "psnr",
-    "remove_estimated",
-    "remove_known",
-    "remove_learned",
-    "replay_dusty",
-    "sample_params",
-    "save_image",
-    "ssim",
-    "synthesize_dusty",
-]

@@ -24,6 +24,7 @@ from .degrade import (
     Reflexivity,
     estimate_reflexivity,
     generate_pairs,
+    is_number,
 )
 from .errors import (
     DecodeError,
@@ -188,9 +189,7 @@ def _cmd_estimate_phi(args) -> int:
 def _read_phi(path) -> Reflexivity:
     obj = _read_json(path, "phi file")
     phi = obj.get("phi") if isinstance(obj, dict) else None
-    if not isinstance(phi, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in phi
-    ):
+    if not isinstance(phi, list) or not all(map(is_number, phi)):
         raise ValidationError(f"{path}: phi file must be a JSON object whose 'phi' is a list of numbers")
     return Reflexivity(tuple(float(v) for v in phi))
 

@@ -155,8 +155,12 @@ def auto_select_dusty_patches(img: Image) -> list[Image]:
     return [Image(stack[k]) for k in order[:_PATCH_COUNT]]
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def is_number(v) -> bool:
+    """Whether a parsed JSON value is a number that a float holds: a bool is
+    not, nor is an integer that ``float()`` would round past the float range."""
+    return isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**1024 - 2**970
+    )
 
 
 # Per PairRecord field type: what a manifest value must be, a test of the
@@ -166,10 +170,10 @@ def _is_number(v) -> bool:
 _FIELD_FORMATS = {
     "str": ("a string", lambda v: isinstance(v, str), str, json.dumps),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int, str),
-    "float": ("a number", _is_number, float, lambda v: format(float(v), ".17g")),
+    "float": ("a number", is_number, float, lambda v: format(float(v), ".17g")),
     "tuple[float, ...]": (
         "a list of numbers",
-        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        lambda v: isinstance(v, list) and all(map(is_number, v)),
         lambda v: tuple(map(float, v)),
         lambda v: "[" + ",".join(format(float(x), ".17g") for x in v) + "]",
     ),

@@ -1,6 +1,6 @@
 """Desk-scale encoder-decoder restoration network with its own autodiff."""
 
-from .autodiff import Tensor, loss_l1, no_grad
+from .autodiff import Tensor, loss_l1
 from .model import (
     NetConfig,
     build_params,
@@ -12,22 +12,3 @@ from .model import (
 )
 from .train import AdamW, TrainConfig, TrainReport, train
 from .weights import load_weights, save_weights
-
-__all__ = [
-    "AdamW",
-    "NetConfig",
-    "Tensor",
-    "TrainConfig",
-    "TrainReport",
-    "build_params",
-    "forward",
-    "graph_forward",
-    "infer_config",
-    "init_weights",
-    "load_weights",
-    "loss_l1",
-    "no_grad",
-    "param_shapes",
-    "save_weights",
-    "train",
-]

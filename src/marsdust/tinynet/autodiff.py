@@ -3,36 +3,14 @@
 Small tape-style engine: each op returns a Tensor holding the forward value
 and a closure that scatters the output gradient back to its parents.
 ``backward()`` on a scalar root walks the graph in reverse topological order.
-Graph recording can be suspended with ``no_grad()`` for inference and
-finite-difference loops; the switch is per thread, so inference on one
-thread never stops another thread's training from recording.
+An op records a graph node only when one of its inputs requires a gradient.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-
 import numpy as np
 
 from ..errors import ValidationError
-
-
-class _GradMode(threading.local):
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-@contextmanager
-def no_grad():
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -96,7 +74,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(value, parents, backward) -> Tensor:
-    track = _grad_mode.enabled and any(p.requires_grad for p in parents)
+    track = any(p.requires_grad for p in parents)
     out = Tensor(value, requires_grad=track)
     if track:
         out._parents = tuple(parents)
@@ -104,13 +82,7 @@ def _node(value, parents, backward) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(g, a.data.shape).copy())
@@ -120,9 +92,7 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(g, a.data.shape).copy())
@@ -132,9 +102,7 @@ def sub(a, b) -> Tensor:
     return _node(a.data - b.data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(g * b.data, a.data.shape))
@@ -200,7 +168,7 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = tuple(tensors)  # the caller may append to its list later
     cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bw(g):
@@ -315,7 +283,6 @@ def dwconv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
 
 def loss_l1(pred: Tensor, target: Tensor) -> Tensor:
     """Mean absolute error over all elements."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
     if pred.data.shape != target.data.shape:
         raise ValidationError(
             f"loss_l1 shape mismatch: {pred.data.shape} vs {target.data.shape}"

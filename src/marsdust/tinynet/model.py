@@ -170,28 +170,22 @@ def graph_forward(
 def forward(weights: dict[str, np.ndarray], cfg: NetConfig, x: np.ndarray) -> np.ndarray:
     """Inference entry point: numpy (B, C, H, W) in, numpy out, no graph."""
     params = build_params(weights, cfg, dtype=np.float64)
-    with ad.no_grad():
-        out = graph_forward(params, cfg, Tensor(np.asarray(x, dtype=np.float64)))
-    return out.data
+    for p in params.values():
+        p.requires_grad = False  # so no op records a graph node
+    return graph_forward(params, cfg, Tensor(np.asarray(x, dtype=np.float64))).data
 
 
 def infer_config(weights: dict[str, np.ndarray]) -> NetConfig:
     """Reconstruct the architecture from weight names and shapes."""
-    try:
-        stem = weights["stem.w"]
-        base = stem.shape[0]
-        cin = stem.shape[1]
-        modules = len({n.split(".")[0] for n in weights if n.startswith("ddsc")})
-        layers = len({n.split(".")[1] for n in weights if n.startswith("ddsc0.l")})
-        growth = weights["ddsc0.l0.pw.w"].shape[0]
-    except KeyError as exc:
-        raise ValidationError(f"weights are missing expected tensor {exc}") from exc
+    for name in ("stem.w", "ddsc0.l0.pw.w"):  # the sizes are read from these
+        if name not in weights or np.ndim(weights[name]) != 4:
+            raise ValidationError(f"weights are missing expected tensor {name!r} (rank 4)")
     cfg = NetConfig(
-        in_channels=cin,
-        base_width=base,
-        ddsc_modules=modules,
-        ddsc_layers=layers,
-        growth=growth,
+        in_channels=weights["stem.w"].shape[1],
+        base_width=weights["stem.w"].shape[0],
+        ddsc_modules=len({n.split(".")[0] for n in weights if n.startswith("ddsc")}),
+        ddsc_layers=len({n.split(".")[1] for n in weights if n.startswith("ddsc0.l")}),
+        growth=weights["ddsc0.l0.pw.w"].shape[0],
     )
     build_params(weights, cfg)  # validates the full table
     return cfg

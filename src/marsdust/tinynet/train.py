@@ -67,12 +67,6 @@ class TrainReport:
     epoch_seconds: list[float] = field(default_factory=list)
     seconds: float = 0.0
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
 
 class AdamW:
     """Decoupled weight decay Adam; parameters updated in a fixed name order."""
@@ -180,5 +174,5 @@ def train(
     out_path = Path(out_path)
     save_weights(trained, out_path)
     report.seconds = time.monotonic() - t0
-    report.save(out_path.with_suffix(".report.json"))
+    out_path.with_suffix(".report.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
     return report

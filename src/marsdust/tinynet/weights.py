@@ -38,53 +38,47 @@ def save_weights(weights: dict[str, np.ndarray], path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise WeightsFormatError(f"{self.path}: truncated file while reading {what}")
-        chunk = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-
 def load_weights(path) -> dict[str, np.ndarray]:
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise WeightsFormatError(f"cannot read weights file {path}: {exc}") from exc
-    r = _Reader(blob, path)
-    if r.take(4, "magic") != MAGIC:
+    pos = 0
+
+    def take(n: int, fmt: str, what: str) -> tuple:
+        """Unpack ``n`` items of ``fmt`` at the read position and move past them."""
+        nonlocal pos
+        end = pos + n * struct.calcsize(f"<{fmt}")
+        if end > len(blob):
+            raise WeightsFormatError(f"{path}: truncated file while reading {what}")
+        start, pos = pos, end
+        return struct.unpack_from(f"<{n}{fmt}", blob, start)
+
+    if take(4, "s", "magic") != (MAGIC,):
         raise WeightsFormatError(f"{path}: bad magic; not a weights file")
-    version = r.u32("version")
+    (version,) = take(1, "I", "version")
     if version != VERSION:
         raise WeightsFormatError(f"{path}: unsupported format version {version}")
-    count = r.u32("tensor count")
+    (count,) = take(1, "I", "tensor count")
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
-        name_len = r.u32(f"name length of tensor {i}")
+        (name_len,) = take(1, "I", f"name length of tensor {i}")
         try:
-            name = r.take(name_len, f"name of tensor {i}").decode("utf-8")
+            name = take(name_len, "s", f"name of tensor {i}")[0].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WeightsFormatError(f"{path}: tensor {i} name is not UTF-8") from exc
         if name in tensors:
             raise WeightsFormatError(f"{path}: duplicate tensor name {name!r}")
-        rank = r.u32(f"rank of {name}")
+        (rank,) = take(1, "I", f"rank of {name}")
         if rank > 8:
             raise WeightsFormatError(f"{path}: implausible rank {rank} for {name}")
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
-        payload = r.take(4 * math.prod(dims), f"values of {name}")  # Python ints: no wrap
+        dims = take(rank, "I", f"dims of {name}")
+        n = math.prod(dims)  # Python ints: no wrap
+        take(4 * n, "x", f"values of {name}")  # pad bytes: the bounds check alone
         try:  # a zero dim lets the others be too large for numpy to address
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+            tensors[name] = np.frombuffer(blob, "<f4", n, pos - 4 * n).reshape(dims).astype(np.float32)
         except ValueError as exc:
             raise WeightsFormatError(f"{path}: cannot shape {name} as {dims} ({exc})") from exc
-    if r.pos != len(blob):
-        raise WeightsFormatError(f"{path}: {len(blob) - r.pos} trailing bytes after last tensor")
+    if pos != len(blob):
+        raise WeightsFormatError(f"{path}: {len(blob) - pos} trailing bytes after last tensor")
     return tensors

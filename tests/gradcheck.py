@@ -27,8 +27,7 @@ def build_conditioned_net(cfg: NetConfig, seed: int, x: np.ndarray):
 
     def probe():
         internals = {}
-        with ad.no_grad():
-            graph_forward(params, cfg, Tensor(x), internals=internals)
+        graph_forward(params, cfg, Tensor(x), internals=internals)
         return internals
 
     gate_names = {f"ddsc{m}.{g}2" for m in range(cfg.ddsc_modules) for g in ("ca", "pa")}
@@ -73,11 +72,9 @@ def fd_full_gradient_check(cfg: NetConfig, params, x: np.ndarray, target: np.nda
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            with ad.no_grad():
-                lp = float(loss_fn().data)
+            lp = float(loss_fn().data)
             flat[i] = orig - step
-            with ad.no_grad():
-                lm = float(loss_fn().data)
+            lm = float(loss_fn().data)
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * step)
             rel = abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-8)

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marsdust.errors import ValidationError
-from marsdust.tinynet import Tensor, loss_l1
+from marsdust.tinynet import Tensor, build_params, forward, graph_forward, init_weights, loss_l1
 from marsdust.tinynet import autodiff as ad
+
+from gradcheck import MINIATURE
 
 rng = np.random.default_rng(2024)
 
@@ -23,11 +25,9 @@ def numeric_grads(make_scalar, tensors, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            with ad.no_grad():
-                lp = make_scalar()
+            lp = make_scalar()
             flat[i] = orig - h
-            with ad.no_grad():
-                lm = make_scalar()
+            lm = make_scalar()
             flat[i] = orig
             g[i] = (lp - lm) / (2 * h)
         grads.append(g.reshape(t.data.shape))
@@ -355,37 +355,42 @@ class TestBackward:
             loss.backward()
         assert np.allclose(x.grad, 2 * x.data / 4)
 
-    def test_no_grad_suppresses_graph(self):
-        x = T((2, 2))
-        with ad.no_grad():
-            y = ad.mul(x, x)
-        assert y._backward is None and not y.requires_grad
+    def test_no_node_when_no_input_requires_grad(self):
+        x, w, dw, b = (Tensor(rng.standard_normal(s)) for s in ((1, 2, 4, 4), (2, 2, 3, 3), (2, 3, 3), (2,)))
+        h = ad.conv2d(x, w, b, pad=1)
+        outs = [h, ad.dwconv2d(h, dw, b), ad.relu(h), ad.sigmoid(h), ad.clamp01(h), ad.absval(h),
+                ad.mean_all(h), ad.add(h, x), ad.sub(h, x), ad.mul(h, x), ad.concat([h, x]),
+                ad.upsample2x(h), ad.spatial_mean(h), loss_l1(h, x)]
+        for y in outs:
+            assert y._backward is None and y._parents == () and not y.requires_grad
 
-    def test_no_grad_is_per_thread(self):
-        # A enters, B enters, A exits, B exits: each thread keeps its own switch,
-        # and recording is on again everywhere once both have left.
-        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-        recorded = {}
-        x = T((2, 2))
+    def test_inference_beside_a_training_thread(self):
+        # a forward on one thread and a loss built and backpropagated on
+        # another give what each gives alone
+        weights = init_weights(MINIATURE, seed=4, head_zero=False, dtype=np.float64)
+        x = rng.uniform(0.2, 0.8, (2, MINIATURE.in_channels, 8, 8))
+        target = rng.uniform(0.2, 0.8, x.shape)
 
-        def thread_a():
-            with ad.no_grad():
-                a_in.set()
-                b_in.wait(5)
-            a_out.set()
+        def grads():
+            params = build_params(weights, MINIATURE)
+            loss_l1(graph_forward(params, MINIATURE, Tensor(x)), Tensor(target)).backward()
+            return [params[n].grad for n in sorted(params)]
 
-        def thread_b():
-            a_in.wait(5)
-            with ad.no_grad():
-                b_in.set()
-                a_out.wait(5)
-                recorded["b_inside"] = ad.mul(x, x).requires_grad
+        jobs = {"infer": lambda: forward(weights, MINIATURE, x), "train": grads}
+        want = {key: job() for key, job in jobs.items()}
+        got = {}
+        start = threading.Barrier(2)
 
-        workers = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        def run(key):
+            start.wait(5)
+            got[key] = [jobs[key]() for _ in range(4)]
+
+        workers = [threading.Thread(target=run, args=(key,)) for key in jobs]
         for w in workers:
             w.start()
         for w in workers:
-            w.join(10)
+            w.join(60)
         assert not any(w.is_alive() for w in workers)
-        assert recorded == {"b_inside": False}
-        assert ad.mul(x, x).requires_grad
+        assert all(np.array_equal(out, want["infer"]) for out in got["infer"])
+        for grads_run in got["train"]:
+            assert all(np.array_equal(g, h) for g, h in zip(grads_run, want["train"], strict=True))

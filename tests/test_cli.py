@@ -9,6 +9,7 @@ import pytest
 from marsdust.cli import run
 from marsdust.degrade import DatasetManifest, PairRecord
 from marsdust.raster import Image, load_image, save_image
+from marsdust.tinynet import NetConfig, init_weights, save_weights
 
 from conftest import make_clean_image, make_dust_patches
 
@@ -72,6 +73,7 @@ def test_estimate_phi_rejects_malformed_patch_list(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("content", [
     b'"phi"', b'{"phi": 5}', b'{"phi": ["a"]}', b'{"phi": [true, 0.5]}', b"[0.5]", b"{}", b"\xff\xfe{",
+    pytest.param(b'{"phi": [0.5, 1%s]}' % (b"0" * 400), id="int-no-float-holds"),
 ])
 def test_synth_rejects_malformed_phi_file(workspace, tmp_path, capsys, content):
     phi = tmp_path / "phi.json"
@@ -208,6 +210,21 @@ def test_remove_weights_whose_size_overflows_exits_2(workspace, tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"i/o error: {weights}: truncated")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, shape", [("stem.w", (8,)), ("ddsc0.l0.pw.w", ())])
+def test_remove_weights_with_low_rank_size_tensor_exits_1(workspace, tmp_path, capsys, name, shape):
+    out = tmp_path / "r"
+    weights = tmp_path / "low.mdw"
+    tensors = init_weights(NetConfig(base_width=8), seed=1)
+    tensors[name] = np.zeros(shape, np.float32)
+    save_weights(tensors, weights)
+    code = run(["remove", "--in", str(workspace / "clean"), "--method", "learned",
+                "--weights", str(weights), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: weights are missing expected tensor '{name}'")
     assert not out.exists()
 
 
@@ -497,7 +514,11 @@ def test_eval_rejects_shared_dusty_name(shared_name_manifest, tmp_path, capsys):
     assert not report_path.exists()
 
 
-@pytest.mark.parametrize("key, value", [("scale", "x"), ("light", 5), ("octaves", 2.5)])
+@pytest.mark.parametrize("key, value", [
+    ("scale", "x"), ("light", 5), ("octaves", 2.5),
+    pytest.param("scale", 10**400, id="scale-int-no-float-holds"),
+    pytest.param("light", [0.5, -(10**400), 0.5], id="light-int-no-float-holds"),
+])
 def test_manifest_value_of_wrong_type_exits_2(synth_pairs, tmp_path, capsys, key, value):
     dusty, manifest = synth_pairs
     lines = manifest.read_text().splitlines()

@@ -15,6 +15,7 @@ from marsdust.degrade import (
     estimate_atmospheric_light,
     estimate_reflexivity,
     generate_pairs,
+    is_number,
     make_transmission,
     replay_dusty,
     synthesize_dusty,
@@ -346,6 +347,12 @@ class TestGoldens:
 
 
 class TestManifest:
+    def test_is_number_takes_what_a_float_holds(self):
+        largest = 2**1024 - 2**970 - 1  # float() rounds it to the largest finite float
+        assert all(map(is_number, [0, -3, 1.5, float("inf"), largest, -largest]))
+        assert not any(map(is_number, [True, "1", None, [1.0], largest + 1, -(10**400)]))
+        assert float(largest) == 1.7976931348623157e308
+
     def test_roundtrip(self, tmp_path):
         rec = PairRecord(
             clean="a.png",

@@ -103,8 +103,7 @@ class TestForwardSemantics:
         params = build_params(weights, cfg, dtype=np.float64)
         x = np.random.default_rng(3).uniform(0.2, 0.8, (2, cfg.in_channels, 8, 8))
         internals = {}
-        with ad.no_grad():
-            graph_forward(params, cfg, Tensor(x), internals=internals)
+        graph_forward(params, cfg, Tensor(x), internals=internals)
         for m in range(cfg.ddsc_modules):
             for key in (f"ddsc{m}.channel_gate", f"ddsc{m}.pixel_gate"):
                 g = internals[key].data
@@ -118,6 +117,16 @@ class TestForwardSemantics:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+    def test_forward_records_no_graph_node(self, monkeypatch):
+        made = []
+        node = ad._node
+        monkeypatch.setattr(ad, "_node", lambda *args: made.append(node(*args)) or made[-1])
+        weights = init_weights(MINIATURE, seed=7, head_zero=False)
+        forward(weights, MINIATURE, np.full((1, MINIATURE.in_channels, 8, 8), 0.5))
+        assert len(made) > 50
+        assert not any(t.requires_grad or t._backward is not None or t._parents for t in made)
+
+
 class TestInferConfig:
     def test_roundtrip(self):
         cfg = NetConfig(in_channels=3, base_width=8, ddsc_modules=2, ddsc_layers=3, growth=8)
@@ -129,7 +138,15 @@ class TestInferConfig:
         cfg = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=1, growth=4)
         weights = init_weights(cfg, seed=9)
         del weights["stem.w"]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="missing expected tensor 'stem.w'"):
+            infer_config(weights)
+
+    @pytest.mark.parametrize("name, shape", [("stem.w", (4,)), ("ddsc0.l0.pw.w", ())])
+    def test_size_tensor_of_low_rank_rejected(self, name, shape):
+        cfg = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=1, growth=4)
+        weights = init_weights(cfg, seed=9)
+        weights[name] = np.zeros(shape, np.float32)
+        with pytest.raises(ValidationError, match=f"missing expected tensor '{name}'"):
             infer_config(weights)
 
 

@@ -122,6 +122,27 @@ class TestFormatErrors:
         with pytest.raises(WeightsFormatError, match="duplicate"):
             load_weights(p)
 
+    @pytest.mark.parametrize("tail, message", [
+        (struct.pack("<I", 9), "implausible rank 9 for w"),
+        (struct.pack("<I", 2), "truncated file while reading dims of w"),
+        (struct.pack("<5I", 4, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1), "cannot shape w as \\(0, 4294967295"),
+    ], ids=["rank-9", "short-dims", "zero-dim-beside-huge"])
+    def test_tensor_header_errors(self, tmp_path, tail, message):
+        p = tmp_path / "r.mdw"
+        p.write_bytes(b"MDW1" + struct.pack("<III", 1, 1, 1) + b"w" + tail)
+        with pytest.raises(WeightsFormatError, match=message):
+            load_weights(p)
+
+    @pytest.mark.parametrize("name_len, name, message", [
+        (1, b"\xff", "tensor 0 name is not UTF-8"),
+        (3, b"ab", "truncated file while reading name of tensor 0"),
+    ])
+    def test_tensor_name_errors(self, tmp_path, name_len, name, message):
+        p = tmp_path / "n.mdw"
+        p.write_bytes(b"MDW1" + struct.pack("<III", 1, 1, name_len) + name)
+        with pytest.raises(WeightsFormatError, match=message):
+            load_weights(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(WeightsFormatError, match="cannot read"):
             load_weights(tmp_path / "absent.mdw")
