@@ -178,7 +178,7 @@ def forward(weights: dict[str, np.ndarray], cfg: NetConfig, x: np.ndarray) -> np
 def infer_config(weights: dict[str, np.ndarray]) -> NetConfig:
     """Reconstruct the architecture from weight names and shapes."""
     for name in ("stem.w", "ddsc0.l0.pw.w"):  # the sizes are read from these
-        if name not in weights or np.ndim(weights[name]) != 4:
+        if name not in weights or weights[name].ndim != 4:
             raise ValidationError(f"weights are missing expected tensor {name!r} (rank 4)")
     cfg = NetConfig(
         in_channels=weights["stem.w"].shape[1],

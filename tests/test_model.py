@@ -116,7 +116,6 @@ class TestForwardSemantics:
         out = forward(weights, cfg, x)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-
     def test_forward_records_no_graph_node(self, monkeypatch):
         made = []
         node = ad._node
