@@ -1,0 +1,33 @@
+"""Whole-file output: a reader finds the old file or the new one, never a part.
+
+Every file marsdust writes goes first to a fresh temporary file beside its
+target, which ``os.replace`` then puts in the target's place.  On any failure
+the temporary file is removed and the target is left as it was.  This guards
+against a failed or interrupted process, not against power loss: nothing is
+fsynced.
+"""
+
+from __future__ import annotations
+
+import os
+import uuid
+from pathlib import Path
+
+
+def write_atomic(path, parts) -> None:
+    """Write the concatenation of the bytes-like ``parts`` to ``path``."""
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}.tmp"
+    try:
+        # the mode, less the umask, is what a plain open() gives a new file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            with open(fd, "wb") as out:
+                for part in parts:
+                    out.write(part)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc

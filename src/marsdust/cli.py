@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .degrade import (
     DatasetManifest,
     Reflexivity,
@@ -179,9 +180,8 @@ def _load_patches(source: str):
 
 def _cmd_estimate_phi(args) -> int:
     phi = estimate_reflexivity(_load_patches(args.patches))
-    Path(args.out).write_text(
-        json.dumps({"phi": list(phi.phi), "channels": len(phi.phi)}, indent=2) + "\n"
-    )
+    text = json.dumps({"phi": list(phi.phi), "channels": len(phi.phi)}, indent=2) + "\n"
+    write_atomic(args.out, [text.encode()])
     print(f"wrote {args.out}: phi = {[round(v, 4) for v in phi.phi]}")
     return 0
 
@@ -275,7 +275,7 @@ def _cmd_eval(args) -> int:
         sets[label] = _directory(directory, f"--sets {label}")
     pairs = DatasetManifest.load(args.pairs) if args.pairs else None
     report = corpus_report(sets, pairs, jobs=args.jobs)
-    Path(args.out).write_text(report.to_json() + "\n")
+    write_atomic(args.out, [(report.to_json() + "\n").encode()])
     print(report.to_table())
     print(f"wrote {args.out}")
     return 0
@@ -295,7 +295,6 @@ def _report(exc: Exception, path: str = "") -> int:
     ``exc``, naming ``path`` unless the message already does; return the code."""
     code = 2 if isinstance(exc, (OSError, DecodeError, ManifestError, WeightsFormatError)) else 1
     message = f"{path}: {exc}" if path not in str(exc) else str(exc)
-    logger.error("%s", message)
     print(f"{'i/o error' if code == 2 else 'error'}: {message}", file=sys.stderr)
     return code
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -22,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import EstimationError, ManifestError, ValidationError
 from .metrics import tile_dust_scores
 from .noise import NoiseField, PerlinParams, perlin2d, sample_params
@@ -163,17 +165,22 @@ def is_number(v) -> bool:
     )
 
 
+def _is_finite_number(v) -> bool:
+    return is_number(v) and math.isfinite(v)
+
+
 # Per PairRecord field type: what a manifest value must be, a test of the
 # parsed JSON value, its Python value, and its manifest text.  Floats print
 # with 17 significant digits, which round-trips float64; since 1.0 prints as
-# 1, a JSON integer in a float field reads as a float.
+# 1, a JSON integer in a float field reads as a float.  JSON reads 1e400 as
+# inf, which no float field takes.
 _FIELD_FORMATS = {
     "str": ("a string", lambda v: isinstance(v, str), str, json.dumps),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int, str),
-    "float": ("a number", is_number, float, lambda v: format(float(v), ".17g")),
+    "float": ("a finite number", _is_finite_number, float, lambda v: format(float(v), ".17g")),
     "tuple[float, ...]": (
-        "a list of numbers",
-        lambda v: isinstance(v, list) and all(map(is_number, v)),
+        "a list of finite numbers",
+        lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
         lambda v: tuple(map(float, v)),
         lambda v: "[" + ",".join(format(float(x), ".17g") for x in v) + "]",
     ),
@@ -223,6 +230,8 @@ class PairRecord:
             if not valid(obj[f.name]):
                 raise ManifestError(f"{where}: {f.name} must be {what}, got {obj[f.name]!r}")
             values[f.name] = convert(obj[f.name])
+        if not 0 <= values["seed"] < 2**64:  # synth writes uint64 seeds
+            raise ManifestError(f"{where}: seed must be in [0, 2**64), got {values['seed']}")
         return cls(**values)
 
 
@@ -233,7 +242,7 @@ class DatasetManifest:
     records: list[PairRecord]
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(rec.to_line() for rec in self.records) + "\n")
+        write_atomic(path, [("\n".join(rec.to_line() for rec in self.records) + "\n").encode()])
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -247,7 +256,7 @@ class DatasetManifest:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ManifestError(f"{path}:{lineno}: malformed JSON ({exc})") from exc
             records.append(PairRecord.from_json(obj, f"{path}:{lineno}"))
         return cls(records)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..degrade import DatasetManifest
 from ..errors import ValidationError
 from ..raster import load_image
@@ -174,5 +175,6 @@ def train(
     out_path = Path(out_path)
     save_weights(trained, out_path)
     report.seconds = time.monotonic() - t0
-    out_path.with_suffix(".report.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
+    text = json.dumps(asdict(report), indent=2) + "\n"
+    write_atomic(out_path.with_suffix(".report.json"), [text.encode()])
     return report

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..errors import WeightsFormatError
 
 MAGIC = b"MDW1"
@@ -35,7 +36,7 @@ def save_weights(weights: dict[str, np.ndarray], path) -> None:
         parts.append(struct.pack("<I", raw.ndim))
         parts.append(struct.pack(f"<{raw.ndim}I", *raw.shape))
         parts.append(raw.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, parts)
 
 
 def load_weights(path) -> dict[str, np.ndarray]:

@@ -1,11 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import marsdust
 from marsdust.cli import run
 from marsdust.degrade import DatasetManifest, PairRecord
 from marsdust.raster import Image, load_image, save_image
@@ -37,6 +41,22 @@ def test_unknown_flag_exits_1(capsys):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
+
+
+def test_failure_is_one_stderr_line_in_a_shell(tmp_path):
+    # a real process: pytest's log capture would hide a second, logged copy
+    src = str(Path(marsdust.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "MARSDUST_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "marsdust.cli", "remove", "--in", str(tmp_path / "absent"),
+         "--method", "analytic-est", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("i/o error: ") and "absent" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_phi_on_gray_patches(tmp_path, capsys):
@@ -518,6 +538,8 @@ def test_eval_rejects_shared_dusty_name(shared_name_manifest, tmp_path, capsys):
     ("scale", "x"), ("light", 5), ("octaves", 2.5),
     pytest.param("scale", 10**400, id="scale-int-no-float-holds"),
     pytest.param("light", [0.5, -(10**400), 0.5], id="light-int-no-float-holds"),
+    ("seed", -5), pytest.param("seed", 10**400, id="seed-400-digits"),
+    pytest.param("scale", float("inf"), id="scale-inf"),
 ])
 def test_manifest_value_of_wrong_type_exits_2(synth_pairs, tmp_path, capsys, key, value):
     dusty, manifest = synth_pairs

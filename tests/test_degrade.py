@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match="malformed"):
             DatasetManifest.load(p)
 
+    def test_integer_too_long_to_convert_rejected(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"seed": ' + "9" * 5000 + "}\n")  # past Python's int-from-text digit limit
+        with pytest.raises(ManifestError, match="bad.jsonl:1: malformed JSON"):
+            DatasetManifest.load(p)
+
     def test_wrong_keys_rejected(self, tmp_path):
         p = tmp_path / "bad2.jsonl"
         p.write_text('{"clean":"a","dusty":"b"}\n')
@@ -426,6 +433,10 @@ class TestManifest:
         ("light", 5), ("light", "0.9"), ("light", ["a"]), ("light", [0.9, False]),
         ("octaves", 2.5), ("octaves", 2.0), ("octaves", True), ("octaves", "3"),
         ("seed", 3.5), ("seed", False), ("seed", None),
+        # out of range: seeds outside [0, 2**64), floats that are not finite (JSON reads 1e400 as inf)
+        ("seed", -5), ("seed", 2**64), ("seed", 10**400),
+        ("scale", math.inf), ("alpha", math.nan), ("lacunarity", -math.inf), ("persistence", math.inf),
+        ("light", [0.9, math.inf]), ("light", [math.nan, 0.8]),
     ])
     def test_wrong_value_type_names_line_and_key(self, tmp_path, key, value):
         p = tmp_path / "m.jsonl"

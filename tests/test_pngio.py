@@ -1,10 +1,11 @@
-"""PNG decoder tests against an independent, test-side encoder.
+"""PNG codec tests against an independent, test-side encoder.
 
 ``encode_png`` writes 8- or 16-bit gray or RGB scanlines with a given filter
 type per row, or with libpng's default per-row choice, so the decoder sees
 the Average and Paeth rows that files from other tools carry.  It and the
 chunk writer ``png_blob`` in ``conftest.py`` share no code with
-``marsdust.pngio``.
+``marsdust.pngio``; the encoder tests check ``write_png`` output against
+them and against stdlib ``zlib``.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from marsdust.errors import DecodeError
-from marsdust.pngio import read_png
+from marsdust.pngio import MAX_PIXELS, read_png, write_png
 
 from conftest import make_clean_image, png_blob
 
@@ -151,6 +152,23 @@ def test_decompression_bomb_rejected_in_bounded_memory(tmp_path):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("width, match", [
+    (MAX_PIXELS, "image data length mismatch"),  # at the limit: inflated, found short
+    (MAX_PIXELS + 1, f"image {MAX_PIXELS + 1}x1 too large"),
+], ids=["at-limit", "past-limit"])
+def test_pixel_limit_checked_before_inflate(tmp_path, width, match):
+    path = tmp_path / "wide.png"
+    path.write_bytes(png_blob(struct.pack(">IIBBBBB", width, 1, 8, 0, 0, 0, 0), zlib.compress(bytes(9))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match=match):
+            read_png(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_unaddressable_dimensions_rejected(tmp_path):
     ihdr = struct.pack(">IIBBBBB", 2**31 - 1, 2**31 - 1, 16, 2, 0, 0, 0)
     path = tmp_path / "huge.png"
@@ -192,3 +210,61 @@ def test_ancillary_chunks_and_suggested_palette_skipped(tmp_path):
     path.write_bytes(png_blob(ihdr, zlib.compress(rows.tobytes()), extra))
     decoded, _ = read_png(path)
     assert np.array_equal(decoded, samples)
+
+
+def _chunks(blob: bytes) -> list[tuple[bytes, bytes]]:
+    """The (tag, payload) chunks of a PNG file, in order."""
+    out, pos = [], 8
+    while pos < len(blob):
+        (length,) = struct.unpack_from(">I", blob, pos)
+        out.append((blob[pos + 4 : pos + 8], blob[pos + 8 : pos + 8 + length]))
+        pos += 12 + length
+    return out
+
+
+def _stored_block_count(stream: bytes) -> int:
+    """The number of deflate blocks in a zlib stream made only of stored blocks."""
+    pos, blocks, final = 2, 0, False
+    while not final:
+        final, btype = stream[pos] & 1, stream[pos] >> 1 & 3
+        assert btype == 0, f"block {blocks} is not stored"
+        length, complement = struct.unpack_from("<HH", stream, pos + 1)
+        assert length ^ complement == 0xFFFF
+        pos, blocks = pos + 5 + length, blocks + 1
+    assert pos + 4 == len(stream)  # then the Adler-32 checksum
+    return blocks
+
+
+ENCODER_CASES = pytest.mark.parametrize("height, width, channels, bit_depth", [
+    (h, w, c, d) for h, w in [(1, 1), (7, 13), (31, 5)] for c in (1, 3) for d in (8, 16)
+])
+
+
+@ENCODER_CASES
+def test_write_png_round_trip_and_repeat(tmp_path, height, width, channels, bit_depth):
+    samples = random_samples(height * width, height, width, channels, bit_depth)
+    write_png(tmp_path / "a.png", samples, bit_depth)
+    write_png(tmp_path / "b.png", samples.copy(), bit_depth)
+    decoded, depth = read_png(tmp_path / "a.png")
+    assert depth == bit_depth and decoded.dtype == samples.dtype
+    assert np.array_equal(decoded, samples)
+    assert (tmp_path / "a.png").read_bytes() == (tmp_path / "b.png").read_bytes()
+
+
+@ENCODER_CASES
+def test_write_png_idat_is_filter_0_scanlines(tmp_path, height, width, channels, bit_depth):
+    samples = random_samples(height + width, height, width, channels, bit_depth)
+    write_png(tmp_path / "w.png", samples, bit_depth)
+    blob = (tmp_path / "w.png").read_bytes()
+    (tag, ihdr), (_, idat), _ = chunks = _chunks(blob)
+    assert [tag for tag, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    assert blob == png_blob(ihdr, idat)  # lengths and CRCs as an independent writer has them
+    assert ihdr == struct.pack(">IIBBBBB", width, height, bit_depth, 0 if channels == 1 else 2, 0, 0, 0)
+    rows = samples.astype(np.uint8 if bit_depth == 8 else ">u2").reshape(height, -1).view(np.uint8)
+    scanlines = np.concatenate([np.zeros((height, 1), np.uint8), rows], axis=1).tobytes()
+    assert zlib.decompress(idat) == scanlines
+    assert idat[1] >> 6 == 0  # zlib's "fastest" class: level 1 for 8-bit, 0 (stored) for 16-bit
+    if bit_depth == 16:
+        blocks = _stored_block_count(idat)
+        chunk_overhead = 8 + 3 * 12 + 13  # signature, three chunk frames, IHDR body
+        assert len(blob) <= len(scanlines) + 2 + 5 * blocks + 4 + chunk_overhead
