@@ -11,6 +11,7 @@ from marsdust.noise import (
     LACUNARITY_RANGE,
     PERSISTENCE_RANGE,
     SCALE_RANGE,
+    NoiseField,
     PerlinParams,
     perlin2d,
     sample_params,
@@ -52,6 +53,28 @@ def test_field_digest_across_band_shapes():
     assert digest.hexdigest() == (
         "9f9b6d310d1800998b4625f0fe2e922696439153f0fa6b7d530110fc09f66c0d"
     )
+
+
+def test_field_values_are_a_read_only_plane():
+    v = perlin2d(PerlinParams(16.0, 3, 2.0, 0.5, seed=5), 37, 21).values
+    assert v.shape == (21, 37)
+    assert v.flags.c_contiguous and not v.flags.writeable
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "11b80b313774ada19de0b36c9edce5319b5e2d44a92dafd5742f8e301aeac26b"
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_rejects_non_finite(bad):
+    arr = np.full((2, 2), 0.5)
+    arr[0, 1] = bad
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        NoiseField(arr)
+
+
+def test_field_rejects_three_channels():
+    with pytest.raises(ValidationError):
+        NoiseField(np.full((2, 2, 3), 0.5))
 
 
 @st.composite

@@ -23,6 +23,13 @@ class TestImage:
         with pytest.raises(ValidationError):
             Image(np.full((4, 4, 3), -0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        arr = np.full((2, 3, 3), 0.5)
+        arr[1, 2, 0] = bad
+        with pytest.raises(ValidationError):
+            Image(arr)
+
     def test_rejects_bad_channels(self):
         with pytest.raises(ValidationError):
             Image(np.zeros((4, 4, 2)))
