@@ -137,8 +137,7 @@ def check_blend_inputs(img: Image, light: AtmosphericLight, tmap: NoiseField | N
 def synthesize_dusty(img: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
     """Blend the clean image toward the atmospheric light, weighted by 1 - T."""
     low = check_blend_inputs(img, light, tmap)
-    t = tmap.values[:, :, None]
-    out = img.data * t + low * (1.0 - t)
+    out = img.data * tmap.data + low * (1.0 - tmap.data)
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)
 
@@ -319,13 +318,11 @@ def generate_pairs(
         records = []
         for j in range(maps_per_image):
             params = sample_params(mix64(img_seed, j + 1))
-            alpha = alpha_order[j % len(alpha_order)]
-            field = perlin2d(params, clean.width, clean.height)
-            dusty = synthesize_dusty(clean, make_transmission(field, alpha), light)
-            dusty_path = out_dir / f"{clean_path.stem}_d{j:02d}.png"
-            save_image(dusty, dusty_path, bit_depth)
-            records.append(PairRecord(clean=str(clean_path), dusty=str(dusty_path), alpha=alpha,
-                                      light=light.values, **asdict(params)))
+            rec = PairRecord(clean=str(clean_path), dusty=str(out_dir / f"{clean_path.stem}_d{j:02d}.png"),
+                             alpha=alpha_order[j % len(alpha_order)], light=light.values, **asdict(params))
+            dusty = synthesize_dusty(clean, rec.transmission(clean.width, clean.height), light)
+            save_image(dusty, rec.dusty, bit_depth)
+            records.append(rec)
         return records
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

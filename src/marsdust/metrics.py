@@ -159,32 +159,23 @@ def ssim(a: Image, b: Image) -> float:
     return math.fsum(scores) / len(scores)
 
 
-@dataclass
-class SetSummary:
-    label: str
-    n: int
-    dust_index_mean: float
-    dust_index_std: float
-    psnr_mean: float | None = None
-    ssim_mean: float | None = None
-
-    @classmethod
-    def from_rows(cls, label: str, rows: list[dict]) -> "SetSummary":
-        """Mean and population spread of the rows' dust index, and their mean
-        PSNR and SSIM over the rows that carry them."""
-        dust = [row["dust_index"] for row in rows]
-        mean = fmean(dust)
-        std = math.sqrt(fmean([(v - mean) ** 2 for v in dust]))
-        paired = [row for row in rows if "psnr" in row]
-        if not paired:
-            return cls(label, len(dust), mean, std)
-        return cls(label, len(dust), mean, std,
-                   fmean([row["psnr"] for row in paired]), fmean([row["ssim"] for row in paired]))
+def _set_summary(label: str, rows: list[dict]) -> dict:
+    """Mean and population spread of the rows' dust index, and their mean
+    PSNR and SSIM over the rows that carry them, under the report's keys."""
+    dust = [row["dust_index"] for row in rows]
+    mean = fmean(dust)
+    summary = {"label": label, "n": len(dust), "dust_index_mean": mean,
+               "dust_index_std": math.sqrt(fmean([(v - mean) ** 2 for v in dust]))}
+    paired = [row for row in rows if "psnr" in row]
+    if paired:
+        summary["psnr_mean"] = fmean([row["psnr"] for row in paired])
+        summary["ssim_mean"] = fmean([row["ssim"] for row in paired])
+    return summary
 
 
 @dataclass
 class CorpusReport:
-    sets: list[SetSummary] = field(default_factory=list)
+    sets: list[dict] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)  # {"path", "reason"} per image not scored
 
@@ -195,10 +186,7 @@ class CorpusReport:
             return v
 
         payload = {
-            "sets": [
-                {k: enc(v) for k, v in vars(s).items() if v is not None}
-                for s in self.sets
-            ],
+            "sets": [{k: enc(v) for k, v in s.items()} for s in self.sets],
             "rows": [{k: enc(v) for k, v in row.items()} for row in self.rows],
             "skipped": self.skipped,
         }
@@ -208,10 +196,10 @@ class CorpusReport:
         header = f"{'set':<10} {'n':>5} {'dust_index (FADE-surrogate)':>28} {'psnr':>10} {'ssim':>8}"
         lines = [header, "-" * len(header)]
         for s in self.sets:
-            di = f"{s.dust_index_mean:.4f} +/- {s.dust_index_std:.4f}"
-            ps = "-" if s.psnr_mean is None else f"{s.psnr_mean:.2f}"
-            ss = "-" if s.ssim_mean is None else f"{s.ssim_mean:.4f}"
-            lines.append(f"{s.label:<10} {s.n:>5} {di:>28} {ps:>10} {ss:>8}")
+            di = f"{s['dust_index_mean']:.4f} +/- {s['dust_index_std']:.4f}"
+            ps = f"{s['psnr_mean']:.2f}" if "psnr_mean" in s else "-"
+            ss = f"{s['ssim_mean']:.4f}" if "ssim_mean" in s else "-"
+            lines.append(f"{s['label']:<10} {s['n']:>5} {di:>28} {ps:>10} {ss:>8}")
         return "\n".join(lines)
 
 
@@ -258,5 +246,5 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
             if not scored:
                 raise ValidationError(f"set '{label}' has no readable images")
             report.rows += scored
-            report.sets.append(SetSummary.from_rows(label, scored))
+            report.sets.append(_set_summary(label, scored))
     return report

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .raster import Image
 from .rng import mix64, shuffled, splitmix64_at, u01
 
 _GRADS = np.array(
@@ -62,30 +63,16 @@ class PerlinParams:
             )
 
 
-@dataclass(frozen=True)
-class NoiseField:
-    """Read-only single-channel raster with values in [0, 1] (Perlin fields and
-    transmission maps alike)."""
+class NoiseField(Image):
+    """One-channel Image (Perlin fields and transmission maps alike); a 2-D
+    array is promoted to (H, W, 1)."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(f"field must be 2-D and non-empty, got {arr.shape}")
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects NaN
-            raise ValidationError("field values outside [0, 1]")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+    _CHANNELS = (1,)
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+    def values(self) -> np.ndarray:
+        """The read-only (H, W) plane."""
+        return self.data[:, :, 0]
 
 
 def _fade(t: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ class Image:
 
     data: np.ndarray
 
+    _CHANNELS = (1, 3)  # the channel counts this class holds
+
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim == 2:
@@ -29,13 +31,13 @@ class Image:
         if arr.ndim != 3:
             raise ValidationError(f"image array must be 2-D or 3-D, got ndim={arr.ndim}")
         height, width, channels = arr.shape
-        if channels not in (1, 3):
-            raise ValidationError(f"channel count must be 1 or 3, got {channels}")
+        if channels not in self._CHANNELS:
+            raise ValidationError(
+                f"channel count must be {' or '.join(map(str, self._CHANNELS))}, got {channels}"
+            )
         if height < 1 or width < 1:
             raise ValidationError(f"image dimensions must be >= 1, got {width}x{height}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("image contains non-finite samples")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also false for NaN and +-inf
             raise ValidationError(
                 f"samples outside [0, 1]: min={arr.min():g} max={arr.max():g}"
             )

@@ -39,7 +39,7 @@ T_FLOOR = 0.05
 def invert_degradation(H: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
     """Invert the forward blend; output clamped to [0, 1]."""
     low = check_blend_inputs(H, light, tmap)
-    t = np.maximum(tmap.values, T_FLOOR)[:, :, None]
+    t = np.maximum(tmap.data, T_FLOOR)
     out = (H.data - low * (1.0 - t)) / t
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)

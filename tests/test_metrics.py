@@ -240,9 +240,9 @@ class TestCorpusReport:
         save_image(make_clean_image(42, 32, 32), d / "only.png", 8)
         report = corpus_report({"solo": d})
         (summary,) = report.sets
-        assert summary.n == 1
-        assert summary.dust_index_std == 0.0
-        assert summary.dust_index_mean == report.rows[0]["dust_index"]
+        assert summary["n"] == 1
+        assert summary["dust_index_std"] == 0.0
+        assert summary["dust_index_mean"] == report.rows[0]["dust_index"]
 
     def test_mean_matches_scalar_loop(self, image_dirs):
         a, _ = image_dirs
@@ -252,7 +252,7 @@ class TestCorpusReport:
         for v in vals:
             naive += v
         naive /= len(vals)
-        assert abs(report.sets[0].dust_index_mean - naive) < 1e-12
+        assert abs(report.sets[0]["dust_index_mean"] - naive) < 1e-12
 
     def test_json_schema(self, image_dirs):
         a, b = image_dirs
@@ -279,7 +279,7 @@ class TestCorpusReport:
 
         with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
             report = corpus_report({"a": a, "b": b})
-        assert [s.n for s in report.sets] == [3, 3]
+        assert [s["n"] for s in report.sets] == [3, 3]
         assert any("skipping" in rec.message for rec in caplog.records)
         (skip,) = json.loads(report.to_json())["skipped"]
         assert skip["path"] == str(broken)
@@ -301,8 +301,8 @@ class TestCorpusReport:
                         64.0, 2, 2.0, 0.5, 0.4, (1.0, 1.0, 1.0), 0)]
         )
         report = corpus_report({"clean": d_clean, "dusty": d_dusty}, pairs=manifest)
-        dusty = next(s for s in report.sets if s.label == "dusty")
-        assert dusty.psnr_mean == math.inf
+        dusty = next(s for s in report.sets if s["label"] == "dusty")
+        assert dusty["psnr_mean"] == math.inf
         payload = json.loads(report.to_json())
         s = next(s for s in payload["sets"] if s["label"] == "dusty")
         assert s["psnr_mean"] == "inf"

@@ -27,7 +27,7 @@ class TestImage:
     def test_rejects_non_finite(self, bad):
         arr = np.full((2, 3, 3), 0.5)
         arr[1, 2, 0] = bad
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             Image(arr)
 
     def test_rejects_bad_channels(self):
