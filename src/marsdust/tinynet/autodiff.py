@@ -252,7 +252,7 @@ def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, pad: int, op: str) 
     y = np.add(grid(yf), b.data.reshape(1, o, 1, 1), out=np.empty(grid(yf).shape, yf.dtype))
 
     def bw(g):
-        gf = np.zeros_like(yf)
+        gf = np.zeros((groups, o // groups, size), y.dtype)  # by shape, so the closure holds no yf
         grid(gf)[...] = g  # garbage columns get no gradient
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
