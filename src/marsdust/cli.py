@@ -157,15 +157,15 @@ def _read_json(path, what: str):
         raise ValidationError(f"{path}: {what} is not valid JSON ({exc})") from exc
 
 
-def _directory(text: str, flag: str) -> str:
+def _nonblank(text: str, flag: str, what: str = "directory") -> str:
     """``text``, unless it is blank: ``Path("")`` is the working directory."""
     if not text.strip():
-        raise ValidationError(f"{flag} names no directory")
+        raise ValidationError(f"{flag} names no {what}")
     return text
 
 
 def _load_patches(source: str):
-    path = Path(_directory(source, "--patches"))
+    path = Path(_nonblank(source, "--patches"))
     if path.is_dir():
         files = list_pngs(path)
     else:
@@ -197,7 +197,7 @@ def _read_phi(path) -> Reflexivity:
 def _cmd_synth(args) -> int:
     phi = _read_phi(args.phi)
     manifest = generate_pairs(
-        _directory(args.clean, "--clean"),
+        _nonblank(args.clean, "--clean"),
         phi,
         maps_per_image=args.maps,
         seed=args.seed,
@@ -240,7 +240,7 @@ def _cmd_remove(args) -> int:
             return remove_known(load_image(path), records[path.name])
     else:
         restore = lambda path: remove_estimated(load_image(path))
-    in_dir = Path(_directory(args.in_dir, "--in"))
+    in_dir = Path(_nonblank(args.in_dir, "--in"))
     paths = list_pngs(in_dir)
     if not paths:
         raise ValidationError(f"no PNG images found in {in_dir}")
@@ -272,7 +272,7 @@ def _cmd_eval(args) -> int:
         label, directory = (part.strip() for part in piece.split("=", 1))
         if not label or label in sets:
             raise ValidationError(f"--sets label {label!r} is {'repeated' if label else 'empty'}")
-        sets[label] = _directory(directory, f"--sets {label}")
+        sets[label] = _nonblank(directory, f"--sets {label}")
     pairs = DatasetManifest.load(args.pairs) if args.pairs else None
     report = corpus_report(sets, pairs, jobs=args.jobs)
     write_atomic(args.out, [(report.to_json() + "\n").encode()])
@@ -307,7 +307,11 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _setup_logging(args.verbose)
-    try:  # with --jobs, the worker threads are the one source of parallelism
+    try:
+        for flag in ("out", "manifest"):  # checked before any work is done
+            if getattr(args, flag, None) is not None:
+                _nonblank(getattr(args, flag), f"--{flag}", "path")
+        # with --jobs, the worker threads are the one source of parallelism
         with one_blas_thread() if hasattr(args, "jobs") else contextlib.nullcontext():
             return _COMMANDS[args.command](args)
     except (MarsdustError, OSError) as exc:

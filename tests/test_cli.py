@@ -313,6 +313,32 @@ def test_empty_directory_argument_exits_1(workspace, tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate-phi", "--patches", "patches", "--out", ""],
+    ["synth", "--clean", "clean", "--phi", "phi.json", "--out", "", "--manifest", "m.jsonl"],
+    ["synth", "--clean", "clean", "--phi", "phi.json", "--out", "d", "--manifest", " "],
+    ["train", "--manifest", "m.jsonl", "--epochs", "1", "--out", ""],
+    ["train", "--manifest", "", "--epochs", "1", "--out", "w.mdw"],
+    ["remove", "--in", "clean", "--method", "analytic-est", "--out", ""],
+    ["remove", "--in", "clean", "--method", "analytic-known", "--manifest", "", "--out", "r"],
+    ["eval", "--sets", "a=clean", "--out", ""],
+])
+def test_blank_output_path_exits_1(workspace, tmp_path, monkeypatch, capsys, argv):
+    # an empty path is the working directory; nothing may be written there
+    for sub in ("clean", "patches"):
+        (tmp_path / sub).mkdir()
+        for png in (workspace / sub).glob("*.png"):
+            (tmp_path / sub / png.name).write_bytes(png.read_bytes())
+    (tmp_path / "phi.json").write_text('{"phi": [0.8, 0.6, 0.4]}')
+    flag = next(a for a, b in zip(argv, argv[1:]) if not b.strip())
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {flag} names no path"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
     """estimate-phi -> synth -> train (tiny) -> remove (known) -> eval.
 
