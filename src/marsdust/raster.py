@@ -22,7 +22,7 @@ class Image:
 
     data: np.ndarray
 
-    _CHANNELS = (1, 3)  # the channel counts this class holds
+    _CHANNELS = (1, 3)  # channel counts accepted; noise.NoiseField narrows it to (1,)
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
