@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
+import errno
 import json
 import logging
 import os
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
+from .blas import one_blas_thread
 from .degrade import (
     DatasetManifest,
     Reflexivity,
@@ -43,33 +44,6 @@ logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with the OpenBLAS that numpy loaded on one thread, then
-    restore its previous count, also on an exception.  Yields that count, or
-    None when no such library was found and the block runs as it is."""
-    numpy_dir = Path(np.__file__).parent
-    for path in [*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")]:
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
-            get, set_ = (getattr(lib, f"{prefix}{op}_num_threads{suffix}", None) for op in ("get", "set"))
-            if get and set_:
-                get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
-                previous = get()
-                set_(1)
-                try:
-                    yield previous
-                finally:
-                    set_(previous)
-                return
-    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})  # numpy >= 1.26
-    logger.debug("no OpenBLAS thread control in numpy's libraries (BLAS: %s)", blas.get("name", "unknown"))
-    yield None
 
 
 class _UsageError(Exception):
@@ -290,6 +264,20 @@ _COMMANDS = {
 }
 
 
+# the flag that names each subcommand's one output file (remove and synth --out are directories)
+_FILE_OUTPUT = {"estimate-phi": "out", "synth": "manifest", "train": "out", "eval": "out"}
+
+
+def _check_file_output(text: str, flag: str) -> None:
+    """Raise the OSError that writing ``text`` would end with, so it ends no
+    run after its work: the path is a directory, or its parent is not one."""
+    path = Path(text)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, f"{flag} is a directory", text)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, f"the directory of {flag} does not exist", text)
+
+
 def _report(exc: Exception, path: str = "") -> int:
     """Print one ``error:`` (exit 1) or ``i/o error:`` (exit 2) line for
     ``exc``, naming ``path`` unless the message already does; return the code."""
@@ -311,6 +299,9 @@ def run(argv) -> int:
         for flag in ("out", "manifest"):  # checked before any work is done
             if getattr(args, flag, None) is not None:
                 _nonblank(getattr(args, flag), f"--{flag}", "path")
+        flag = _FILE_OUTPUT.get(args.command)
+        if flag:
+            _check_file_output(getattr(args, flag), f"--{flag}")
         # with --jobs, the worker threads are the one source of parallelism
         with one_blas_thread() if hasattr(args, "jobs") else contextlib.nullcontext():
             return _COMMANDS[args.command](args)

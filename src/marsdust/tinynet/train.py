@@ -3,6 +3,11 @@
 Every source of randomness (epoch shuffling, patch offsets, augmentation,
 weight init) is keyed off the config seed, so equal seeds give byte-identical
 weights files.  Training math runs in float32; weights are float32 on disk.
+
+Each batch is split into ``SHARDS`` fixed shards whose forward and backward
+passes run on threads of their own, with BLAS on one thread; their gradients
+are summed in shard order.  The shards, not the host, fix every reduction
+order, so the weights are the same at any core count and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -10,13 +15,16 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..atomic import write_atomic
+from ..blas import blas_name, one_blas_thread
 from ..degrade import DatasetManifest
 from ..errors import ValidationError
 from ..raster import load_image
@@ -36,6 +44,9 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 WEIGHT_DECAY = 0.01
+# Pieces each batch is split into, one per worker thread.  A constant, not a
+# setting: the shards set the gradient's summation order and so the weights.
+SHARDS = 2
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,9 @@ class TrainReport:
     net_config: dict
     epoch_losses: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
+    samples_per_s: list[float] = field(default_factory=list)
     seconds: float = 0.0
+    host: dict = field(default_factory=dict)
 
 
 class AdamW:
@@ -96,10 +109,6 @@ class AdamW:
             update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data -= self.lr * (update + WEIGHT_DECAY * p.data)
 
-    def zero_grad(self):
-        for _, p in self.items:
-            p.grad = None
-
 
 def _load_pairs(manifest: DatasetManifest, patch: int) -> list[tuple[np.ndarray, np.ndarray]]:
     pairs = []
@@ -124,6 +133,34 @@ def _augment_chw(arr: np.ndarray, rot: int, flip: bool) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
+def _draw_batch(pairs, cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One (B, C, patch, patch) batch of augmented dusty inputs and clean targets."""
+    xs, ys = [], []
+    for _ in range(cfg.batch):
+        clean, dusty = pairs[int(rng.integers(0, len(pairs)))]
+        _, h, w = clean.shape
+        x0 = int(rng.integers(0, w - cfg.patch + 1))
+        y0 = int(rng.integers(0, h - cfg.patch + 1))
+        rot = int(rng.integers(0, 4))
+        flip = bool(rng.integers(0, 2))
+        if rng.random() < _IDENTITY_FRACTION:
+            dusty = clean  # identity anchor: dust-free input must pass through
+        sl = np.s_[:, y0 : y0 + cfg.patch, x0 : x0 + cfg.patch]
+        xs.append(_augment_chw(dusty[sl], rot, flip))
+        ys.append(_augment_chw(clean[sl], rot, flip))
+    return np.stack(xs), np.stack(ys)
+
+
+def _shard_step(params: dict[str, Tensor], net: NetConfig, x: np.ndarray, y: np.ndarray):
+    """Loss and parameter gradients of one shard.  The shard wraps the shared
+    parameter arrays in Tensors of its own, so no two shards accumulate into
+    one ``.grad``; the arrays are only read until every shard has returned."""
+    own = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
+    loss = ad.loss_l1(graph_forward(own, net, Tensor(x)), Tensor(y))
+    loss.backward()
+    return float(loss.data), {name: t.grad for name, t in own.items()}
+
+
 def train(
     cfg: TrainConfig, net: NetConfig, manifest: DatasetManifest, out_path
 ) -> TrainReport:
@@ -133,43 +170,36 @@ def train(
         raise ValidationError("manifest is empty; nothing to train on")
     t0 = time.monotonic()
     pairs = _load_pairs(manifest, cfg.patch)
-    n = len(pairs)
     weights0 = init_weights(net, mix64(cfg.seed, _INIT_SALT), head_zero=True)
     params = build_params(weights0, net, dtype=np.float32)
     opt = AdamW(params, cfg.lr)
-    steps = math.ceil(n * cfg.patches_per_image / cfg.batch)
+    steps = math.ceil(len(pairs) * cfg.patches_per_image / cfg.batch)
+    shards = [slice(int(k[0]), int(k[-1]) + 1) for k in np.array_split(np.arange(cfg.batch), SHARDS) if k.size]
+    shares = [(s.stop - s.start) / cfg.batch for s in shards]
 
     report = TrainReport(train_config=asdict(cfg), net_config=asdict(net))
-    for epoch in range(cfg.epochs):
-        t_epoch = time.monotonic()
-        rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, epoch)))
-        losses = []
-        for _ in range(steps):
-            xs, ys = [], []
-            for _ in range(cfg.batch):
-                clean, dusty = pairs[int(rng.integers(0, n))]
-                _, h, w = clean.shape
-                x0 = int(rng.integers(0, w - cfg.patch + 1))
-                y0 = int(rng.integers(0, h - cfg.patch + 1))
-                rot = int(rng.integers(0, 4))
-                flip = bool(rng.integers(0, 2))
-                if rng.random() < _IDENTITY_FRACTION:
-                    dusty = clean  # identity anchor: dust-free input must pass through
-                sl = np.s_[:, y0 : y0 + cfg.patch, x0 : x0 + cfg.patch]
-                xs.append(_augment_chw(dusty[sl], rot, flip))
-                ys.append(_augment_chw(clean[sl], rot, flip))
-            x = Tensor(np.stack(xs))
-            y = Tensor(np.stack(ys))
-            out = graph_forward(params, net, x)
-            loss = ad.loss_l1(out, y)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
-        epoch_loss = math.fsum(losses) / len(losses)
-        report.epoch_losses.append(epoch_loss)
-        report.epoch_seconds.append(time.monotonic() - t_epoch)
-        logger.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, epoch_loss)
+    with one_blas_thread() as previous, ThreadPoolExecutor(max_workers=SHARDS) as pool:
+        report.host = {"cpu_count": os.cpu_count(), "numpy": np.__version__, "blas": blas_name(),
+                       "blas_threads": None if previous is None else 1}
+        for epoch in range(cfg.epochs):
+            t_epoch = time.monotonic()
+            rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, epoch)))
+            losses = []
+            for _ in range(steps):
+                x, y = _draw_batch(pairs, cfg, rng)
+                futures = [pool.submit(_shard_step, params, net, x[s], y[s]) for s in shards]
+                results = [f.result() for f in futures]
+                # batch means: each shard's mean weighted by its share, summed in shard order
+                for name, p in params.items():
+                    p.grad = sum(share * grads[name] for share, (_, grads) in zip(shares, results))
+                opt.step()
+                losses.append(sum(share * shard_loss for share, (shard_loss, _) in zip(shares, results)))
+            epoch_loss = math.fsum(losses) / len(losses)
+            wall = time.monotonic() - t_epoch
+            report.epoch_losses.append(epoch_loss)
+            report.epoch_seconds.append(wall)
+            report.samples_per_s.append(steps * cfg.batch / wall)
+            logger.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, epoch_loss)
 
     trained = {name: params[name].data.astype(np.float32) for name in sorted(params)}
     out_path = Path(out_path)

@@ -1,5 +1,7 @@
-"""BLAS thread count: inside a subcommand with --jobs, OpenBLAS runs on one
-thread, so learned removal gives the same bytes whatever its pool size."""
+"""BLAS thread count: inside a subcommand with --jobs, and inside every
+training run, OpenBLAS runs on one thread, so learned removal gives the same
+bytes whatever its pool size, and training writes the same weights at any
+OPENBLAS_NUM_THREADS."""
 
 import ctypes
 import json
@@ -15,8 +17,11 @@ import pytest
 import marsdust
 from marsdust import cli
 from marsdust.cli import one_blas_thread, run
+from marsdust.degrade import estimate_reflexivity, generate_pairs
 from marsdust.raster import Image, save_image
 from marsdust.tinynet import NetConfig, init_weights, save_weights
+
+from conftest import make_clean_image, make_dust_patches
 
 FRAMES = ((132, 260), (256, 256), (384, 512))
 
@@ -47,11 +52,15 @@ def _blas_name() -> str:
     return config.get("Build Dependencies", {}).get("blas", {}).get("name", "unknown")
 
 
-def _learned_digests(threads: int) -> dict:
+def _env(threads: int) -> dict:
     src = str(Path(marsdust.__file__).parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, check=True)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _learned_digests(threads: int) -> dict:
+    done = subprocess.run([sys.executable, "-c", _SCRIPT], env=_env(threads), capture_output=True,
+                          text=True, check=True)
     return json.loads(done.stdout)
 
 
@@ -80,6 +89,26 @@ def test_remove_learned_same_png_bytes_at_any_jobs(tmp_path):
     pngs = [sorted(out.glob("*.png")) for out in outs]
     assert [p.name for p in pngs[0]] == [p.name for p in pngs[1]] == ["f0.png", "f1.png", "f2.png"]
     assert [p.read_bytes() for p in pngs[0]] == [p.read_bytes() for p in pngs[1]]
+
+
+def test_train_same_weights_at_one_two_and_four_blas_threads(tmp_path):
+    with one_blas_thread() as previous:
+        if previous is None:
+            pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {_blas_name()}")
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    for i in range(4):
+        save_image(make_clean_image(600 + i), clean / f"c{i}.png", 8)  # 128x128 terrain
+    phi = estimate_reflexivity(make_dust_patches(3))
+    generate_pairs(clean, phi, maps_per_image=2, seed=7, out_dir=tmp_path / "dusty").save(tmp_path / "m.jsonl")
+    weights = {}
+    for threads in (1, 2, 4):  # more threads than cores is fine: only the split changes
+        out = tmp_path / f"w{threads}.mdw"
+        subprocess.run([sys.executable, "-m", "marsdust.cli", "train", "--manifest", str(tmp_path / "m.jsonl"),
+                        "--epochs", "2", "--seed", "7", "--out", str(out)],
+                       env=_env(threads), capture_output=True, check=True)
+        weights[threads] = out.read_bytes()
+    assert weights[1] == weights[2] == weights[4]
 
 
 class _FakeOpenBLAS:

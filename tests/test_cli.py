@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import marsdust
+from marsdust import cli
 from marsdust.cli import run
 from marsdust.degrade import DatasetManifest, PairRecord
 from marsdust.raster import Image, load_image, save_image
@@ -339,6 +340,39 @@ def test_blank_output_path_exits_1(workspace, tmp_path, monkeypatch, capsys, arg
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate-phi", "--patches", "patches", "--out", "{target}"],
+    ["synth", "--clean", "clean", "--phi", "phi.json", "--out", "d", "--manifest", "{target}"],
+    ["train", "--manifest", "m.jsonl", "--epochs", "1", "--out", "{target}"],
+    ["eval", "--sets", "a=clean", "--out", "{target}"],
+])
+@pytest.mark.parametrize("target,reason", [
+    ("outdir", "is a directory"),
+    ("no_such_dir/out.file", "does not exist"),
+    ("phi.json/out.file", "does not exist"),  # the parent is a file
+])
+def test_unwritable_output_file_exits_2_before_any_work(
+    workspace, tmp_path, monkeypatch, capsys, argv, target, reason
+):
+    for sub in ("clean", "patches"):
+        (tmp_path / sub).mkdir()
+        for png in (workspace / sub).glob("*.png"):
+            (tmp_path / sub / png.name).write_bytes(png.read_bytes())
+    (tmp_path / "phi.json").write_text('{"phi": [0.8, 0.6, 0.4]}')
+    (tmp_path / "m.jsonl").write_text("")
+    (tmp_path / "outdir").mkdir()
+    ran = []
+    for name in ("estimate_reflexivity", "generate_pairs", "train", "corpus_report"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run([a.format(target=target) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and reason in err[0] and target in err[0]
+    assert ran == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
     """estimate-phi -> synth -> train (tiny) -> remove (known) -> eval.
 
@@ -363,6 +397,17 @@ def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
         "--lr", "1e-3", "--epochs", "2", "--width", "4", "--out", str(weights), "--seed", "1",
     ]) == 0
     assert weights.is_file()
+    train_report = json.loads((tmp_path / "tiny.report.json").read_text())
+    assert list(train_report) == [
+        "train_config", "net_config", "epoch_losses", "epoch_seconds", "samples_per_s", "seconds", "host",
+    ]
+    steps = -(-6 * train_report["train_config"]["patches_per_image"] // 2)  # 3 frames x 2 maps, batch 2
+    assert train_report["samples_per_s"] == pytest.approx(
+        [steps * 2 / s for s in train_report["epoch_seconds"]])
+    host = train_report["host"]
+    assert list(host) == ["cpu_count", "numpy", "blas", "blas_threads"]
+    assert host["cpu_count"] == os.cpu_count() and host["numpy"] == np.__version__
+    assert isinstance(host["blas"], str) and host["blas_threads"] in (1, None)
     assert run([
         "remove", "--in", str(dusty), "--method", "analytic-known",
         "--manifest", str(manifest), "--out", str(restored),

@@ -1,4 +1,7 @@
+import importlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from marsdust.degrade import DatasetManifest, estimate_reflexivity, generate_pai
 from marsdust.errors import ValidationError
 from marsdust.raster import save_image
 from marsdust.tinynet import AdamW, NetConfig, Tensor, TrainConfig, train
-from marsdust.tinynet.train import WEIGHT_DECAY
+from marsdust.tinynet.train import SHARDS, WEIGHT_DECAY
 
 from conftest import make_clean_image, make_dust_patches
 
@@ -82,6 +85,33 @@ class TestTraining:
         train(cfg, TINY_NET, tiny_manifest, p1)
         train(cfg, TINY_NET, tiny_manifest, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("batch", [3, 4])
+    def test_one_worker_writes_the_bytes_of_two(self, tiny_manifest, tmp_path, monkeypatch, batch):
+        cfg = TrainConfig(patch=32, batch=batch, lr=1e-3, epochs=2, seed=3, patches_per_image=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the shards' threads then interleave as finely as they can
+        try:
+            train(cfg, TINY_NET, tiny_manifest, tmp_path / "two.mdw")
+        finally:
+            sys.setswitchinterval(interval)
+        asked = []
+
+        def one_worker(max_workers):
+            asked.append(max_workers)
+            return ThreadPoolExecutor(max_workers=1)
+
+        # the package re-exports the function train, which hides its module
+        module = importlib.import_module("marsdust.tinynet.train")
+        monkeypatch.setattr(module, "ThreadPoolExecutor", one_worker)
+        train(cfg, TINY_NET, tiny_manifest, tmp_path / "one.mdw")
+        assert asked == [SHARDS] == [2]
+        assert (tmp_path / "one.mdw").read_bytes() == (tmp_path / "two.mdw").read_bytes()
+
+    def test_batch_of_one_is_one_shard(self, tiny_manifest, tmp_path):
+        cfg = TrainConfig(patch=32, batch=1, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
+        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
+        assert len(report.epoch_losses) == 1 and np.isfinite(report.epoch_losses[0])
 
     def test_different_seed_different_weights(self, tiny_manifest, tmp_path):
         p1, p2 = tmp_path / "a.mdw", tmp_path / "b.mdw"
