@@ -38,7 +38,7 @@ from .errors import (
 from .metrics import corpus_report
 from .raster import list_pngs, load_image, save_image
 from .restore import load_model, remove_estimated, remove_known, remove_learned
-from .tinynet import NetConfig, TrainConfig, train
+from .tinynet import NetConfig, TrainConfig, report_path, train
 
 logger = logging.getLogger(__name__)
 
@@ -302,6 +302,8 @@ def run(argv) -> int:
         flag = _FILE_OUTPUT.get(args.command)
         if flag:
             _check_file_output(getattr(args, flag), f"--{flag}")
+        if args.command == "train":  # its report, written after the weights
+            _check_file_output(str(report_path(args.out)), "the report of --out")
         # with --jobs, the worker threads are the one source of parallelism
         with one_blas_thread() if hasattr(args, "jobs") else contextlib.nullcontext():
             return _COMMANDS[args.command](args)

@@ -10,5 +10,5 @@ from .model import (
     init_weights,
     param_shapes,
 )
-from .train import AdamW, TrainConfig, TrainReport, train
+from .train import AdamW, TrainConfig, TrainReport, report_path, train
 from .weights import load_weights, save_weights

@@ -4,6 +4,8 @@ Small tape-style engine: each op returns a Tensor holding the forward value
 and a closure that scatters the output gradient back to its parents.
 ``backward()`` on a scalar root walks the graph in reverse topological order.
 An op records a graph node only when one of its inputs requires a gradient.
+A graph is walked once: backward releases each interior node as it goes, so
+afterwards only leaves (and the root) hold a ``.grad``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ class Tensor:
         self._backward = None
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into each leaf's ``.grad``.  Each interior
+        node drops its closure, parents and gradient once its own backward has
+        run, so activations are freed as the walk passes them; a second call
+        on the same root adds nothing to the leaves."""
         if self.data.size != 1:
             raise ValidationError(
                 f"backward requires a scalar root, got shape {self.data.shape}"
@@ -47,9 +53,15 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents = None, ()
+            if node is not self:
+                node.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray):

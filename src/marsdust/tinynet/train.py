@@ -78,6 +78,8 @@ class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
     samples_per_s: list[float] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
+    loss_quartiles: list[list[float]] = field(default_factory=list)
     seconds: float = 0.0
     host: dict = field(default_factory=dict)
 
@@ -161,11 +163,16 @@ def _shard_step(params: dict[str, Tensor], net: NetConfig, x: np.ndarray, y: np.
     return float(loss.data), {name: t.grad for name, t in own.items()}
 
 
+def report_path(out_path) -> Path:
+    """The JSON report ``train`` writes next to the weights file ``out_path``."""
+    return Path(out_path).with_suffix(".report.json")
+
+
 def train(
     cfg: TrainConfig, net: NetConfig, manifest: DatasetManifest, out_path
 ) -> TrainReport:
     """Train on manifest pairs and write the weights file plus a JSON report
-    (``<out stem>.report.json`` next to the weights)."""
+    (``report_path(out_path)``)."""
     if not manifest.records:
         raise ValidationError("manifest is empty; nothing to train on")
     t0 = time.monotonic()
@@ -184,7 +191,7 @@ def train(
         for epoch in range(cfg.epochs):
             t_epoch = time.monotonic()
             rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, epoch)))
-            losses = []
+            losses, norms = [], []
             for _ in range(steps):
                 x, y = _draw_batch(pairs, cfg, rng)
                 futures = [pool.submit(_shard_step, params, net, x[s], y[s]) for s in shards]
@@ -192,6 +199,8 @@ def train(
                 # batch means: each shard's mean weighted by its share, summed in shard order
                 for name, p in params.items():
                     p.grad = sum(share * grads[name] for share, (_, grads) in zip(shares, results))
+                # global L2 norm of the batch gradient, summed in parameter-name order
+                norms.append(math.sqrt(sum(float(np.square(p.grad, dtype=np.float64).sum()) for _, p in opt.items)))
                 opt.step()
                 losses.append(sum(share * shard_loss for share, (shard_loss, _) in zip(shares, results)))
             epoch_loss = math.fsum(losses) / len(losses)
@@ -199,6 +208,8 @@ def train(
             report.epoch_losses.append(epoch_loss)
             report.epoch_seconds.append(wall)
             report.samples_per_s.append(steps * cfg.batch / wall)
+            report.grad_norms.append(math.fsum(norms) / len(norms))
+            report.loss_quartiles.append(np.percentile(losses, [25, 50, 75]).tolist())
             logger.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, epoch_loss)
 
     trained = {name: params[name].data.astype(np.float32) for name in sorted(params)}
@@ -206,5 +217,5 @@ def train(
     save_weights(trained, out_path)
     report.seconds = time.monotonic() - t0
     text = json.dumps(asdict(report), indent=2) + "\n"
-    write_atomic(out_path.with_suffix(".report.json"), [text.encode()])
+    write_atomic(report_path(out_path), [text.encode()])
     return report

@@ -1,6 +1,6 @@
 import hashlib
-import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marsdust.errors import ValidationError
-from marsdust.tinynet import Tensor, build_params, forward, graph_forward, init_weights, loss_l1
+from marsdust.tinynet import NetConfig, Tensor, build_params, forward, graph_forward, init_weights, loss_l1
 from marsdust.tinynet import autodiff as ad
 
 from gradcheck import MINIATURE
@@ -344,8 +344,11 @@ class TestBackward:
         y = ad.add(joined, a)
         ad.mean_all(ad.mul(y, Tensor(np.array([[2.0, 4.0]])))).backward()
         assert np.array_equal(a.grad, want_a) and np.array_equal(b.grad, want_b)
-        grads = [a.grad, b.grad, joined.grad, y.grad]
-        assert not any(np.shares_memory(g, h) for g, h in itertools.combinations(grads, 2))
+        # the interior gradients are released by backward, so the values above
+        # are what would show a buffer shared along the way; the leaves' own
+        # buffers must still be apart
+        assert joined.grad is None and y.grad is None
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_graph_reusable_after_grad_reset(self):
         x = T((2, 2))
@@ -394,3 +397,57 @@ class TestBackward:
         assert all(np.array_equal(out, want["infer"]) for out in got["infer"])
         for grads_run in got["train"]:
             assert all(np.array_equal(g, h) for g, h in zip(grads_run, want["train"], strict=True))
+
+
+def traced_train_step():
+    """Bytes held after a width-4 forward and loss (batch 2 x 32², float32),
+    the peak during its backward, and the bytes held after it with the loss
+    still referenced, all above what was held before the forward; and the
+    bytes of the leaf gradients."""
+    net = NetConfig(base_width=4)
+    params = build_params(init_weights(net, 3, head_zero=False), net, dtype=np.float32)
+    x = rng.uniform(0.2, 0.8, (2, net.in_channels, 32, 32)).astype(np.float32)
+    target = rng.uniform(0.2, 0.8, x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = loss_l1(graph_forward(params, net, Tensor(x)), Tensor(target))
+        forward_held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    leaf_bytes = sum(p.grad.nbytes for p in params.values())
+    return forward_held, peak - base, held - base, leaf_bytes
+
+
+class TestTapeRelease:
+    """backward frees each node once its own backward has run."""
+
+    def test_backward_peak_stays_near_the_forward_footprint(self):
+        forward_held, peak, _, _ = traced_train_step()
+        assert peak <= 1.15 * forward_held, (peak, forward_held)
+
+    def test_only_leaf_gradients_outlive_backward(self):
+        _, _, held, leaf_bytes = traced_train_step()
+        assert held <= leaf_bytes + 0.25 * 2**20, (held, leaf_bytes)
+
+    def test_interior_nodes_released_and_leaves_keep_their_gradients(self):
+        params = build_params(init_weights(MINIATURE, seed=4, head_zero=False), MINIATURE)
+        x = rng.uniform(0.2, 0.8, (2, MINIATURE.in_channels, 8, 8))
+        loss = loss_l1(graph_forward(params, MINIATURE, Tensor(x)), Tensor(x))
+        interior, stack = {}, [loss]  # every node reached from the root that has a backward
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in interior:
+                interior[id(node)] = node
+                stack.extend(node._parents)
+        assert len(interior) > 20
+        loss.backward()
+        for node in interior.values():
+            assert node._backward is None and node._parents == ()
+            assert node.grad is None or node is loss
+        grads = {name: p.grad.copy() for name, p in params.items()}
+        loss.backward()
+        assert all(np.array_equal(params[name].grad, g) for name, g in grads.items())

@@ -373,6 +373,22 @@ def test_unwritable_output_file_exits_2_before_any_work(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_train_report_path_a_directory_exits_2_before_training(synth_pairs, tmp_path, monkeypatch, capsys):
+    # the report is written after the weights, so it is checked before any epoch
+    _, manifest = synth_pairs
+    (tmp_path / "w.report.json").mkdir()
+    ran = []
+    monkeypatch.setattr(cli, "train", lambda *a, real=cli.train, **k: ran.append(a) or real(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--manifest", str(manifest), "--patch", "16", "--batch", "2",
+            "--epochs", "1", "--width", "4", "--out", "w.mdw"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and "w.report.json" in err[0]
+    assert ran == []
+    assert not (tmp_path / "w.mdw").exists()
+
+
 def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
     """estimate-phi -> synth -> train (tiny) -> remove (known) -> eval.
 
@@ -399,7 +415,8 @@ def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
     assert weights.is_file()
     train_report = json.loads((tmp_path / "tiny.report.json").read_text())
     assert list(train_report) == [
-        "train_config", "net_config", "epoch_losses", "epoch_seconds", "samples_per_s", "seconds", "host",
+        "train_config", "net_config", "epoch_losses", "epoch_seconds", "samples_per_s",
+        "grad_norms", "loss_quartiles", "seconds", "host",
     ]
     steps = -(-6 * train_report["train_config"]["patches_per_image"] // 2)  # 3 frames x 2 maps, batch 2
     assert train_report["samples_per_s"] == pytest.approx(

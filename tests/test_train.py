@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -78,6 +79,32 @@ class TestTraining:
         assert payload["epoch_seconds"] == report.epoch_seconds
         assert len(report.epoch_seconds) == 3 and all(t > 0 for t in report.epoch_seconds)
         assert sum(report.epoch_seconds) <= report.seconds
+
+    def test_report_grad_norms_are_the_mean_norm_adamw_steps_on(self, tiny_manifest, tmp_path, monkeypatch):
+        seen = []
+        step = AdamW.step
+
+        def spy(opt):
+            flat = np.concatenate([p.grad.ravel() for _, p in opt.items]).astype(np.float64)
+            seen.append(float(np.linalg.norm(flat)))
+            step(opt)
+
+        monkeypatch.setattr(AdamW, "step", spy)
+        cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=2, seed=5, patches_per_image=2)
+        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
+        steps = math.ceil(len(tiny_manifest.records) * cfg.patches_per_image / cfg.batch)
+        assert len(seen) == 2 * steps
+        want = [np.mean(seen[:steps]), np.mean(seen[steps:])]
+        assert report.grad_norms == pytest.approx(want, rel=1e-9)
+        assert all(q1 <= q2 <= q3 for q1, q2, q3 in report.loss_quartiles)
+        payload = json.loads((tmp_path / "w.report.json").read_text())
+        assert payload["grad_norms"] == report.grad_norms
+        assert payload["loss_quartiles"] == report.loss_quartiles
+
+    def test_loss_quartiles_of_a_single_step_epoch(self, tiny_manifest, tmp_path):
+        cfg = TrainConfig(patch=32, batch=8, lr=1e-3, epochs=1, seed=5, patches_per_image=2)  # 4 x 2 / 8
+        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
+        assert report.loss_quartiles == [[report.epoch_losses[0]] * 3]
 
     def test_seeded_determinism_byte_identical(self, tiny_manifest, tmp_path):
         cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=2, seed=9, patches_per_image=2)
