@@ -37,7 +37,7 @@ _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 # The most pixels read_png decodes (8192 x 8192), checked before any
 # inflate.  A 16-bit RGB image at the limit holds 400 MB of samples, and
-# read_png's memory peaks at about five times its samples.
+# read_png's memory peaks at about three times its samples, during inflate.
 MAX_PIXELS = 1 << 26
 
 
@@ -106,6 +106,7 @@ def read_png(path) -> tuple[np.ndarray, int]:
         # suggested palette in the truecolor files decoded here
         elif tag != b"PLTE" and not tag[0] & 0x20:
             raise DecodeError(f"{path}: unknown critical chunk {tag.decode('latin1')}")
+    del blob  # each buffer is dropped once used, so decode peaks at inflate
 
     if ihdr is None or len(ihdr) != 13:
         raise DecodeError(f"{path}: missing or malformed IHDR")
@@ -143,15 +144,13 @@ def read_png(path) -> tuple[np.ndarray, int]:
         raise DecodeError(f"{path}: image data length mismatch")
     if not inflater.eof:
         raise DecodeError(f"{path}: corrupt compressed image data (truncated stream)")
+    del idat, inflater
 
-    raw = np.frombuffer(plain, dtype=np.uint8).reshape(height, 1 + row_bytes)
-    recon = _unfilter(raw, row_bytes, bpp, path)
-    if depth == 8:
-        arr = recon.reshape(height, width, channels)
-    else:
-        arr = recon.reshape(height, -1).view(">u2").astype(np.uint16)
-        arr = arr.reshape(height, width, channels)
-    return arr, depth
+    recon = _unfilter(np.frombuffer(plain, dtype=np.uint8).reshape(height, 1 + row_bytes), row_bytes, bpp, path)
+    del plain
+    if depth == 16:
+        recon = recon.view(">u2").astype(np.uint16)  # PNG samples are big-endian
+    return recon.reshape(height, width, channels), depth
 
 
 def _unfilter(raw: np.ndarray, row_bytes: int, bpp: int, path) -> np.ndarray:

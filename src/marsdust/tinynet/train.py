@@ -4,10 +4,10 @@ Every source of randomness (epoch shuffling, patch offsets, augmentation,
 weight init) is keyed off the config seed, so equal seeds give byte-identical
 weights files.  Training math runs in float32; weights are float32 on disk.
 
-Each batch is split into ``SHARDS`` fixed shards whose forward and backward
-passes run on threads of their own, with BLAS on one thread; their gradients
-are summed in shard order.  The shards, not the host, fix every reduction
-order, so the weights are the same at any core count and BLAS thread count.
+Each batch is split into ``SHARDS`` fixed shards, with BLAS on one thread:
+the caller runs shard 0 while one worker runs shard 1, and their gradients
+are summed in shard order.  The shards fix every reduction order, so the
+weights are the same at any core count, BLAS thread count and worker kind.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import multiprocessing
 import os
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -44,8 +46,8 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 WEIGHT_DECAY = 0.01
-# Pieces each batch is split into, one per worker thread.  A constant, not a
-# setting: the shards set the gradient's summation order and so the weights.
+# Pieces each batch is split into, one for the caller and one for the worker.
+# A constant, not a setting: the shards set the summation order and so the weights.
 SHARDS = 2
 
 
@@ -153,14 +155,23 @@ def _draw_batch(pairs, cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.n
     return np.stack(xs), np.stack(ys)
 
 
-def _shard_step(params: dict[str, Tensor], net: NetConfig, x: np.ndarray, y: np.ndarray):
-    """Loss and parameter gradients of one shard.  The shard wraps the shared
+def _shard_step(arrays: dict[str, np.ndarray], net: NetConfig, x: np.ndarray, y: np.ndarray):
+    """Loss and parameter gradients of one shard.  The shard wraps the
     parameter arrays in Tensors of its own, so no two shards accumulate into
     one ``.grad``; the arrays are only read until every shard has returned."""
-    own = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
+    own = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
     loss = ad.loss_l1(graph_forward(own, net, Tensor(x)), Tensor(y))
     loss.backward()
     return float(loss.data), {name: t.grad for name, t in own.items()}
+
+
+def _shard_pool():
+    """The worker for shard 1: a process on Linux, forked at the first submit,
+    since the interpreter lock holds two threads to about 1.3 cores; a thread
+    where fork is missing (Windows) or unsafe (macOS system frameworks)."""
+    if sys.platform.startswith("linux"):
+        return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def report_path(out_path) -> Path:
@@ -185,17 +196,19 @@ def train(
     shares = [(s.stop - s.start) / cfg.batch for s in shards]
 
     report = TrainReport(train_config=asdict(cfg), net_config=asdict(net))
-    with one_blas_thread() as previous, ThreadPoolExecutor(max_workers=SHARDS) as pool:
+    arrays = {name: p.data for name, p in params.items()}  # AdamW updates them in place
+    with one_blas_thread() as previous, _shard_pool() as pool:
         report.host = {"cpu_count": os.cpu_count(), "numpy": np.__version__, "blas": blas_name(),
-                       "blas_threads": None if previous is None else 1}
+                       "blas_threads": None if previous is None else 1,
+                       "shard_worker": "thread" if isinstance(pool, ThreadPoolExecutor) else "process"}
         for epoch in range(cfg.epochs):
             t_epoch = time.monotonic()
             rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, epoch)))
             losses, norms = [], []
             for _ in range(steps):
                 x, y = _draw_batch(pairs, cfg, rng)
-                futures = [pool.submit(_shard_step, params, net, x[s], y[s]) for s in shards]
-                results = [f.result() for f in futures]
+                rest = [pool.submit(_shard_step, arrays, net, x[s], y[s]) for s in shards[1:]]
+                results = [_shard_step(arrays, net, x[shards[0]], y[shards[0]])] + [f.result() for f in rest]
                 # batch means: each shard's mean weighted by its share, summed in shard order
                 for name, p in params.items():
                     p.grad = sum(share * grads[name] for share, (_, grads) in zip(shares, results))

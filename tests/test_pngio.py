@@ -169,6 +169,24 @@ def test_pixel_limit_checked_before_inflate(tmp_path, width, match):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_decode_peak_is_three_times_the_samples(tmp_path, bit_depth):
+    # the file and the joined IDAT are dropped once they are used, and one
+    # copy of the scanlines makes the samples; the peak is zlib's output
+    # buffer while it inflates
+    samples = random_samples(bit_depth, 1024, 1024, 3, bit_depth)
+    write_png(tmp_path / "big.png", samples, bit_depth)
+    tracemalloc.start()
+    try:
+        decoded, _ = read_png(tmp_path / "big.png")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded.dtype == samples.dtype and decoded.dtype.isnative
+    assert np.array_equal(decoded, samples)
+    assert peak <= 3.1 * samples.nbytes
+
+
 def test_unaddressable_dimensions_rejected(tmp_path):
     ihdr = struct.pack(">IIBBBBB", 2**31 - 1, 2**31 - 1, 16, 2, 0, 0, 0)
     path = tmp_path / "huge.png"

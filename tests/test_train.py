@@ -1,6 +1,8 @@
 import importlib
 import json
 import math
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,11 +13,14 @@ from marsdust.degrade import DatasetManifest, estimate_reflexivity, generate_pai
 from marsdust.errors import ValidationError
 from marsdust.raster import save_image
 from marsdust.tinynet import AdamW, NetConfig, Tensor, TrainConfig, train
-from marsdust.tinynet.train import SHARDS, WEIGHT_DECAY
+from marsdust.tinynet.train import WEIGHT_DECAY
 
 from conftest import make_clean_image, make_dust_patches
 
 TINY_NET = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=2, growth=4)
+# the package re-exports the function train, which hides its module
+train_module = importlib.import_module("marsdust.tinynet.train")
+LINUX_ONLY = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="shard 1 runs in a thread off Linux")
 
 
 @pytest.fixture(scope="module")
@@ -114,26 +119,39 @@ class TestTraining:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("batch", [3, 4])
-    def test_one_worker_writes_the_bytes_of_two(self, tiny_manifest, tmp_path, monkeypatch, batch):
+    def test_thread_worker_writes_the_bytes_of_the_default(self, tiny_manifest, tmp_path, monkeypatch, batch):
         cfg = TrainConfig(patch=32, batch=batch, lr=1e-3, epochs=2, seed=3, patches_per_image=2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the shards' threads then interleave as finely as they can
-        try:
-            train(cfg, TINY_NET, tiny_manifest, tmp_path / "two.mdw")
-        finally:
-            sys.setswitchinterval(interval)
-        asked = []
+        train(cfg, TINY_NET, tiny_manifest, tmp_path / "default.mdw")
+        monkeypatch.setattr(train_module, "_shard_pool", lambda: ThreadPoolExecutor(max_workers=1))
+        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "thread.mdw")
+        assert report.host["shard_worker"] == "thread"
+        assert (tmp_path / "thread.mdw").read_bytes() == (tmp_path / "default.mdw").read_bytes()
 
-        def one_worker(max_workers):
-            asked.append(max_workers)
-            return ThreadPoolExecutor(max_workers=1)
+    @LINUX_ONLY
+    def test_shard_worker_is_a_process_that_ends_with_train(self, tiny_manifest, tmp_path):
+        cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
+        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
+        assert report.host["shard_worker"] == "process"
+        assert json.loads((tmp_path / "w.report.json").read_text())["host"]["shard_worker"] == "process"
+        assert multiprocessing.active_children() == []
 
-        # the package re-exports the function train, which hides its module
-        module = importlib.import_module("marsdust.tinynet.train")
-        monkeypatch.setattr(module, "ThreadPoolExecutor", one_worker)
-        train(cfg, TINY_NET, tiny_manifest, tmp_path / "one.mdw")
-        assert asked == [SHARDS] == [2]
-        assert (tmp_path / "one.mdw").read_bytes() == (tmp_path / "two.mdw").read_bytes()
+    @LINUX_ONLY
+    def test_failing_worker_raises_its_error_and_leaves_no_process(self, tiny_manifest, tmp_path, monkeypatch):
+        parent = os.getpid()
+        forward = train_module.graph_forward
+
+        def fails_in_worker(*args):
+            if os.getpid() != parent:
+                raise ValidationError("failed in the worker")
+            return forward(*args)
+
+        # the worker is forked after this patch, so it runs the patched forward
+        monkeypatch.setattr(train_module, "graph_forward", fails_in_worker)
+        cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
+        with pytest.raises(ValidationError, match="failed in the worker"):
+            train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
+        assert not (tmp_path / "w.mdw").exists()
+        assert multiprocessing.active_children() == []
 
     def test_batch_of_one_is_one_shard(self, tiny_manifest, tmp_path):
         cfg = TrainConfig(patch=32, batch=1, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
