@@ -198,6 +198,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_remove(args) -> int:
+    in_dir, out_dir = Path(_nonblank(args.in_dir, "--in")), Path(args.out)
+    if out_dir.resolve() == in_dir.resolve():
+        raise ValidationError(f"--out {args.out} is the --in directory; remove would write over its inputs")
     if args.method == "learned":
         if not args.weights:
             raise ValidationError("--method learned requires --weights")
@@ -214,11 +217,9 @@ def _cmd_remove(args) -> int:
             return remove_known(load_image(path), records[path.name])
     else:
         restore = lambda path: remove_estimated(load_image(path))
-    in_dir = Path(_nonblank(args.in_dir, "--in"))
     paths = list_pngs(in_dir)
     if not paths:
         raise ValidationError(f"no PNG images found in {in_dir}")
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(path: Path):

@@ -4,10 +4,12 @@ Every source of randomness (epoch shuffling, patch offsets, augmentation,
 weight init) is keyed off the config seed, so equal seeds give byte-identical
 weights files.  Training math runs in float32; weights are float32 on disk.
 
-Each batch is split into ``SHARDS`` fixed shards, with BLAS on one thread:
-the caller runs shard 0 while one worker runs shard 1, and their gradients
-are summed in shard order.  The shards fix every reduction order, so the
-weights are the same at any core count, BLAS thread count and worker kind.
+The weights are one dict of float32 arrays from init to save.  Each batch
+is cut into ``SHARDS`` fixed shards, with BLAS on one thread: the caller
+runs the first while one worker runs the second, and their gradients are
+summed in shard order into the dict AdamW steps on.  The shards fix every
+reduction order, so the weights are the same at any core count, BLAS
+thread count and worker kind.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..raster import load_image
 from ..rng import mix64
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import NetConfig, build_params, graph_forward, init_weights
+from .model import NetConfig, graph_forward, init_weights
 from .weights import save_weights
 
 logger = logging.getLogger(__name__)
@@ -87,54 +89,50 @@ class TrainReport:
 
 
 class AdamW:
-    """Decoupled weight decay Adam; parameters updated in a fixed name order."""
+    """Decoupled weight decay Adam on a dict of arrays, which ``step``
+    updates in place in sorted name order."""
 
-    def __init__(self, params: dict[str, Tensor], lr):
-        self.items = sorted(params.items())
+    def __init__(self, params: dict[str, np.ndarray], lr):
+        self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in self.items}
-        self.v = {n: np.zeros_like(p.data) for n, p in self.items}
+        self.m = {n: np.zeros_like(p) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p) for n, p in params.items()}
 
-    def step(self):
+    def step(self, grads: dict[str, np.ndarray]):
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        for name, p in self.items:
-            g = p.grad
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
+        for name in sorted(self.params):
+            p, g, m, v = self.params[name], grads[name], self.m[name], self.v[name]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p.data -= self.lr * (update + WEIGHT_DECAY * p.data)
+            p -= self.lr * (update + WEIGHT_DECAY * p)
 
 
 def _load_pairs(manifest: DatasetManifest, patch: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    pairs = []
+    """(clean, dusty) CHW float32 pairs; records that share a clean path share its one array."""
+    to_chw = lambda path: np.moveaxis(load_image(path).data, 2, 0).astype(np.float32)
+    cleans, pairs = {}, []
     for rec in manifest.records:
-        clean = load_image(rec.clean)
-        dusty = load_image(rec.dusty)
-        if clean.data.shape != dusty.data.shape:
+        if rec.clean not in cleans:
+            cleans[rec.clean] = to_chw(rec.clean)
+        clean, dusty = cleans[rec.clean], to_chw(rec.dusty)
+        if clean.shape != dusty.shape:
             raise ValidationError(f"pair shape mismatch for {rec.dusty}")
-        if clean.width < patch or clean.height < patch:
-            raise ValidationError(
-                f"patch {patch} larger than image {clean.width}x{clean.height} ({rec.clean})"
-            )
-        to_chw = lambda img: np.moveaxis(img.data, 2, 0).astype(np.float32)
-        pairs.append((to_chw(clean), to_chw(dusty)))
+        _, h, w = clean.shape
+        if w < patch or h < patch:
+            raise ValidationError(f"patch {patch} larger than image {w}x{h} ({rec.clean})")
+        pairs.append((clean, dusty))
     return pairs
 
 
 def _augment_chw(arr: np.ndarray, rot: int, flip: bool) -> np.ndarray:
     out = np.rot90(arr, rot, axes=(1, 2))
-    if flip:
-        out = out[:, :, ::-1]
-    return np.ascontiguousarray(out)
+    return out[:, :, ::-1] if flip else out
 
 
 def _draw_batch(pairs, cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -155,11 +153,11 @@ def _draw_batch(pairs, cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.n
     return np.stack(xs), np.stack(ys)
 
 
-def _shard_step(arrays: dict[str, np.ndarray], net: NetConfig, x: np.ndarray, y: np.ndarray):
+def _shard_step(params: dict[str, np.ndarray], net: NetConfig, x: np.ndarray, y: np.ndarray):
     """Loss and parameter gradients of one shard.  The shard wraps the
     parameter arrays in Tensors of its own, so no two shards accumulate into
     one ``.grad``; the arrays are only read until every shard has returned."""
-    own = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    own = {name: Tensor(a, requires_grad=True) for name, a in params.items()}
     loss = ad.loss_l1(graph_forward(own, net, Tensor(x)), Tensor(y))
     loss.backward()
     return float(loss.data), {name: t.grad for name, t in own.items()}
@@ -188,15 +186,13 @@ def train(
         raise ValidationError("manifest is empty; nothing to train on")
     t0 = time.monotonic()
     pairs = _load_pairs(manifest, cfg.patch)
-    weights0 = init_weights(net, mix64(cfg.seed, _INIT_SALT), head_zero=True)
-    params = build_params(weights0, net, dtype=np.float32)
+    params = dict(sorted(init_weights(net, mix64(cfg.seed, _INIT_SALT), head_zero=True).items()))
     opt = AdamW(params, cfg.lr)
     steps = math.ceil(len(pairs) * cfg.patches_per_image / cfg.batch)
-    shards = [slice(int(k[0]), int(k[-1]) + 1) for k in np.array_split(np.arange(cfg.batch), SHARDS) if k.size]
-    shares = [(s.stop - s.start) / cfg.batch for s in shards]
+    cut = -(-cfg.batch // SHARDS)  # x[:cut] on the caller, x[cut:] on the worker
+    shares = [cut / cfg.batch, (cfg.batch - cut) / cfg.batch]
 
     report = TrainReport(train_config=asdict(cfg), net_config=asdict(net))
-    arrays = {name: p.data for name, p in params.items()}  # AdamW updates them in place
     with one_blas_thread() as previous, _shard_pool() as pool:
         report.host = {"cpu_count": os.cpu_count(), "numpy": np.__version__, "blas": blas_name(),
                        "blas_threads": None if previous is None else 1,
@@ -207,14 +203,13 @@ def train(
             losses, norms = [], []
             for _ in range(steps):
                 x, y = _draw_batch(pairs, cfg, rng)
-                rest = [pool.submit(_shard_step, arrays, net, x[s], y[s]) for s in shards[1:]]
-                results = [_shard_step(arrays, net, x[shards[0]], y[shards[0]])] + [f.result() for f in rest]
+                rest = [pool.submit(_shard_step, params, net, x[cut:], y[cut:])] if cut < cfg.batch else []
+                results = [_shard_step(params, net, x[:cut], y[:cut])] + [f.result() for f in rest]
                 # batch means: each shard's mean weighted by its share, summed in shard order
-                for name, p in params.items():
-                    p.grad = sum(share * grads[name] for share, (_, grads) in zip(shares, results))
+                grads = {n: sum(share * g[n] for share, (_, g) in zip(shares, results)) for n in params}
                 # global L2 norm of the batch gradient, summed in parameter-name order
-                norms.append(math.sqrt(sum(float(np.square(p.grad, dtype=np.float64).sum()) for _, p in opt.items)))
-                opt.step()
+                norms.append(math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values())))
+                opt.step(grads)
                 losses.append(sum(share * shard_loss for share, (shard_loss, _) in zip(shares, results)))
             epoch_loss = math.fsum(losses) / len(losses)
             wall = time.monotonic() - t_epoch
@@ -225,9 +220,8 @@ def train(
             report.loss_quartiles.append(np.percentile(losses, [25, 50, 75]).tolist())
             logger.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, epoch_loss)
 
-    trained = {name: params[name].data.astype(np.float32) for name in sorted(params)}
     out_path = Path(out_path)
-    save_weights(trained, out_path)
+    save_weights(params, out_path)
     report.seconds = time.monotonic() - t0
     text = json.dumps(asdict(report), indent=2) + "\n"
     write_atomic(report_path(out_path), [text.encode()])

@@ -16,6 +16,7 @@ import pytest
 
 import marsdust
 from marsdust import cli
+from marsdust.blas import blas_name
 from marsdust.cli import one_blas_thread, run
 from marsdust.degrade import estimate_reflexivity, generate_pairs
 from marsdust.raster import Image, save_image
@@ -47,11 +48,6 @@ print(json.dumps({{"previous": previous, "digests": digests}}))
 """
 
 
-def _blas_name() -> str:
-    config = getattr(np.__config__, "CONFIG", {})
-    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "unknown")
-
-
 def _env(threads: int) -> dict:
     src = str(Path(marsdust.__file__).parent.parent)
     return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
@@ -67,7 +63,7 @@ def _learned_digests(threads: int) -> dict:
 def test_learned_forward_same_bytes_at_one_and_two_blas_threads():
     one, two = _learned_digests(1), _learned_digests(2)
     if one["previous"] is None:
-        pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {_blas_name()}")
+        pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {blas_name()}")
     assert list(one["digests"]) == [f"{h}x{w}" for h, w in FRAMES]
     assert one["digests"] == two["digests"]
 
@@ -94,7 +90,7 @@ def test_remove_learned_same_png_bytes_at_any_jobs(tmp_path):
 def test_train_same_weights_at_one_two_and_four_blas_threads(tmp_path):
     with one_blas_thread() as previous:
         if previous is None:
-            pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {_blas_name()}")
+            pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {blas_name()}")
     clean = tmp_path / "clean"
     clean.mkdir()
     for i in range(4):
@@ -161,14 +157,14 @@ def test_no_openblas_runs_the_block_and_logs_the_blas(fake_openblas, monkeypatch
             assert previous is None
     assert fake_openblas.threads == 4
     assert [r.getMessage() for r in caplog.records] == [
-        f"no OpenBLAS thread control in numpy's libraries (BLAS: {_blas_name()})"
+        f"no OpenBLAS thread control in numpy's libraries (BLAS: {blas_name()})"
     ]
 
 
 def test_real_openblas_count_restored():
     with one_blas_thread() as outer:
         if outer is None:
-            pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {_blas_name()}")
+            pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {blas_name()}")
         with one_blas_thread() as inner:
             assert inner == 1
     with pytest.raises(RuntimeError):

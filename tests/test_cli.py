@@ -449,6 +449,19 @@ def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
     assert np.array_equal(load_image(some).data, load_image(rec_clean).data)
 
 
+@pytest.mark.parametrize("out", ["{d}", "{d}/.", "{d}/../clean"])
+def test_remove_out_that_is_the_in_directory_exits_1_inputs_unchanged(workspace, tmp_path, capsys, out):
+    d = tmp_path / "clean"
+    d.mkdir()
+    for png in (workspace / "clean").glob("*.png"):
+        (d / png.name).write_bytes(png.read_bytes())
+    before = {p.name: p.read_bytes() for p in d.iterdir()}
+    code = run(["remove", "--in", str(d), "--method", "analytic-est", "--out", out.format(d=d)])
+    assert code == 1
+    assert "is the --in directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+
+
 def test_remove_learned_roundtrip(workspace, tmp_path):
     phi = tmp_path / "phi.json"
     dusty = tmp_path / "dusty"

@@ -12,7 +12,7 @@ import pytest
 from marsdust.degrade import DatasetManifest, estimate_reflexivity, generate_pairs
 from marsdust.errors import ValidationError
 from marsdust.raster import save_image
-from marsdust.tinynet import AdamW, NetConfig, Tensor, TrainConfig, train
+from marsdust.tinynet import AdamW, NetConfig, TrainConfig, train
 from marsdust.tinynet.train import WEIGHT_DECAY
 
 from conftest import make_clean_image, make_dust_patches
@@ -51,22 +51,20 @@ class TestTrainConfig:
 
 class TestAdamW:
     def test_single_step_matches_hand_computation(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        p.grad = np.array([0.5, -0.25])
+        p = np.array([1.0, -2.0])
         opt = AdamW({"p": p}, lr=0.01)
-        opt.step()
+        opt.step({"p": np.array([0.5, -0.25])})
         g = np.array([0.5, -0.25])
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
         want = np.array([1.0, -2.0]) - 0.01 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 0.01 * np.array([1.0, -2.0]))
-        assert np.allclose(p.data, want, rtol=0, atol=1e-15)
+        assert np.allclose(p, want, rtol=0, atol=1e-15)
 
     def test_decoupled_decay_moves_params_without_grad_history(self):
-        p = Tensor(np.array([4.0]), requires_grad=True)
-        p.grad = np.array([0.0])
+        p = np.array([4.0])
         opt = AdamW({"p": p}, lr=0.1)
-        opt.step()
-        assert p.data[0] == pytest.approx(4.0 - 0.1 * WEIGHT_DECAY * 4.0)
+        opt.step({"p": np.array([0.0])})
+        assert p[0] == pytest.approx(4.0 - 0.1 * WEIGHT_DECAY * 4.0)
 
 
 class TestTraining:
@@ -89,10 +87,10 @@ class TestTraining:
         seen = []
         step = AdamW.step
 
-        def spy(opt):
-            flat = np.concatenate([p.grad.ravel() for _, p in opt.items]).astype(np.float64)
+        def spy(opt, grads):
+            flat = np.concatenate([grads[n].ravel() for n in sorted(grads)]).astype(np.float64)
             seen.append(float(np.linalg.norm(flat)))
-            step(opt)
+            step(opt, grads)
 
         monkeypatch.setattr(AdamW, "step", spy)
         cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=2, seed=5, patches_per_image=2)
@@ -153,10 +151,30 @@ class TestTraining:
         assert not (tmp_path / "w.mdw").exists()
         assert multiprocessing.active_children() == []
 
-    def test_batch_of_one_is_one_shard(self, tiny_manifest, tmp_path):
+    def test_batch_of_one_is_one_shard(self, tiny_manifest, tmp_path, monkeypatch):
+        class NoSubmit(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise AssertionError("batch 1 reached the worker")
+
+        monkeypatch.setattr(train_module, "_shard_pool", lambda: NoSubmit(max_workers=1))
         cfg = TrainConfig(patch=32, batch=1, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
         report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
         assert len(report.epoch_losses) == 1 and np.isfinite(report.epoch_losses[0])
+
+    def test_each_clean_image_is_decoded_once(self, tmp_path, monkeypatch):
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        for i in range(2):
+            save_image(make_clean_image(710 + i, 40, 40), clean / f"c{i}.png", 8)
+        phi = estimate_reflexivity(make_dust_patches(3))
+        manifest = generate_pairs(clean, phi, maps_per_image=2, seed=21, out_dir=tmp_path / "dusty")
+        loads = []
+        load_image = train_module.load_image
+        monkeypatch.setattr(train_module, "load_image", lambda path: loads.append(str(path)) or load_image(path))
+        cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=1, seed=3, patches_per_image=1)
+        train(cfg, TINY_NET, manifest, tmp_path / "w.mdw")
+        assert len(manifest.records) == 4
+        assert sorted(loads) == sorted({r.clean for r in manifest.records} | {r.dusty for r in manifest.records})
 
     def test_different_seed_different_weights(self, tiny_manifest, tmp_path):
         p1, p2 = tmp_path / "a.mdw", tmp_path / "b.mdw"
