@@ -138,6 +138,12 @@ def _nonblank(text: str, flag: str, what: str = "directory") -> str:
     return text
 
 
+def _check_out_dir(out: str, source: str, flag: str) -> None:
+    """Reject an ``--out`` that resolves to the ``flag`` directory ``source``."""
+    if Path(out).resolve() == Path(source).resolve():
+        raise ValidationError(f"--out {out} is the {flag} directory; the outputs would land among its inputs")
+
+
 def _load_patches(source: str):
     path = Path(_nonblank(source, "--patches"))
     if path.is_dir():
@@ -169,9 +175,11 @@ def _read_phi(path) -> Reflexivity:
 
 
 def _cmd_synth(args) -> int:
+    clean = _nonblank(args.clean, "--clean")
+    _check_out_dir(args.out, clean, "--clean")
     phi = _read_phi(args.phi)
     manifest = generate_pairs(
-        _nonblank(args.clean, "--clean"),
+        clean,
         phi,
         maps_per_image=args.maps,
         seed=args.seed,
@@ -199,8 +207,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_remove(args) -> int:
     in_dir, out_dir = Path(_nonblank(args.in_dir, "--in")), Path(args.out)
-    if out_dir.resolve() == in_dir.resolve():
-        raise ValidationError(f"--out {args.out} is the --in directory; remove would write over its inputs")
+    _check_out_dir(args.out, args.in_dir, "--in")
     if args.method == "learned":
         if not args.weights:
             raise ValidationError("--method learned requires --weights")
@@ -297,7 +304,7 @@ def run(argv) -> int:
         return 1
     _setup_logging(args.verbose)
     try:
-        for flag in ("out", "manifest"):  # checked before any work is done
+        for flag in ("out", "manifest", "phi", "pairs", "weights"):  # checked before any work is done
             if getattr(args, flag, None) is not None:
                 _nonblank(getattr(args, flag), f"--{flag}", "path")
         flag = _FILE_OUTPUT.get(args.command)

@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Small tape-style engine: each op returns a Tensor holding the forward value
-and a closure that scatters the output gradient back to its parents.
-``backward()`` on a scalar root walks the graph in reverse topological order.
+and a closure that maps the output gradient to one gradient per parent, or
+None for a parent it skips.  ``backward()`` on a scalar root walks the graph
+in reverse topological order and is the only code that stores a ``.grad``.
 An op records a graph node only when one of its inputs requires a gradient.
 A graph is walked once: backward releases each interior node as it goes, so
 afterwards only leaves (and the root) hold a ``.grad``.
@@ -57,23 +58,21 @@ class Tensor:
             node = topo.pop()
             if node._backward is None:
                 continue  # a leaf keeps its gradient
-            if node.grad is not None:
-                node._backward(node.grad)
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.grad is not None:
+                    parent.grad += g
+                elif np.may_share_memory(g, node.grad) or not (g.flags.c_contiguous and g.flags.writeable):
+                    # a view of the node's gradient, or a strided or read-only
+                    # one: store an array nothing else holds, laid out so that
+                    # later reductions sum in the same order whatever op made it
+                    parent.grad = g.copy()
+                else:
+                    parent.grad = g
             node._backward, node._parents = None, ()
             if node is not self:
                 node.grad = None
-
-
-def _accum(t: Tensor, g: np.ndarray):
-    """Add ``g`` into ``t.grad``.  The first gradient is stored as is, so ``g``
-    must be an array nothing else holds: ops that hand on their output
-    gradient or a view of it (add, sub, concat) pass a copy.  A strided ``g``
-    is made contiguous, so later reductions over the gradient sum in the same
-    order whatever op produced it."""
-    if t.grad is None:
-        t.grad = g if g.flags.c_contiguous else g.copy()
-    else:
-        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -95,43 +94,24 @@ def _node(value, parents, backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape).copy())
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape).copy())
-
-    return _node(a.data + b.data, (a, b), bw)
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape).copy())
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), bw)
+    return _node(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), bw)
+    return _node(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0)
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, g * (y > 0))
-
-    return _node(y, (x,), bw)
+    return _node(y, (x,), lambda g: (g * (y > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -141,63 +121,37 @@ def sigmoid(x: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
     y[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, g * y * (1.0 - y))
-
-    return _node(y, (x,), bw)
+    return _node(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def clamp01(x: Tensor) -> Tensor:
     inside = (x.data > 0.0) & (x.data < 1.0)
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, g * inside)
-
-    return _node(np.clip(x.data, 0.0, 1.0), (x,), bw)
+    return _node(np.clip(x.data, 0.0, 1.0), (x,), lambda g: (g * inside,))
 
 
 def absval(x: Tensor) -> Tensor:
     sign = np.sign(x.data)  # subgradient 0 at ties
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, g * sign)
-
-    return _node(np.abs(x.data), (x,), bw)
+    return _node(np.abs(x.data), (x,), lambda g: (g * sign,))
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, np.full_like(x.data, g / n))
-
-    return _node(np.asarray(x.data.mean(dtype=x.data.dtype)), (x,), bw)
+    return _node(np.asarray(x.data.mean(dtype=x.data.dtype)), (x,), lambda g: (np.full_like(x.data, g / n),))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = tuple(tensors)  # the caller may append to its list later
     cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def bw(g):
-        for t, part in zip(tensors, np.split(g, cuts, axis=axis)):
-            if t.requires_grad:
-                _accum(t, part.copy())
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.split(g, cuts, axis=axis))
 
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbour x2 along both spatial axes of a (B, C, H, W) tensor."""
 
     def bw(g):
-        if x.requires_grad:
-            rows = g[:, :, 0::2] + g[:, :, 1::2]
-            _accum(x, rows[..., 0::2] + rows[..., 1::2])
+        rows = g[:, :, 0::2] + g[:, :, 1::2]
+        return (rows[..., 0::2] + rows[..., 1::2],)
 
     return _node(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,), bw)
 
@@ -205,12 +159,8 @@ def upsample2x(x: Tensor) -> Tensor:
 def spatial_mean(x: Tensor) -> Tensor:
     """Global average pool over H and W, keeping dims: (B, C, 1, 1)."""
     n = x.data.shape[2] * x.data.shape[3]
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype, copy=True))
-
-    return _node(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.data.dtype), (x,), bw)
+    return _node(x.data.mean(axis=(2, 3), keepdims=True, dtype=x.data.dtype), (x,),
+                 lambda g: (np.broadcast_to(g / n, x.data.shape),))
 
 
 def _tap_product(wk: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
@@ -266,19 +216,21 @@ def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, pad: int, op: str) 
     def bw(g):
         gf = np.zeros((groups, o // groups, size), y.dtype)  # by shape, so the closure holds no yf
         grid(gf)[...] = g  # garbage columns get no gradient
+        dx = dw = db = None
         if b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+            db = g.sum(axis=(0, 2, 3))
         if w.requires_grad:
             dw = np.empty_like(wt)
             for i, j, xs in taps(xf):
                 np.matmul(gf, xs.swapaxes(1, 2), out=dw[i, j])
-            _accum(w, dw.transpose(2, 3, 4, 0, 1).reshape(w.data.shape))
+            dw = dw.transpose(2, 3, 4, 0, 1).reshape(w.data.shape)
         if x.requires_grad:
             dxf = np.zeros_like(xf)
             for i, j, dxs in taps(dxf):
                 dxs += _tap_product(wt[i, j].swapaxes(1, 2), gf)
             dxp = phases(dxf).transpose(2, 3, 4, 0, 5, 1).reshape(c, bs, s * hq, s * wq)
-            _accum(x, dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3))
+            dx = dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3)
+        return dx, dw, db
 
     return _node(y, (x, w, b), bw)
 

@@ -159,7 +159,7 @@ def probed_digests(y, x, w, b):
     """sha256 of y and of the x/w/b gradients for the output gradient probe
     ``dyadic(y.shape, 4)``, fed straight to the op's backward so that no 1/n
     factor rounds: every sum stays exact whatever the output size."""
-    y._backward(dyadic(y.data.shape, 4).data)
+    x.grad, w.grad, b.grad = y._backward(dyadic(y.data.shape, 4).data)
     return [hashlib.sha256(a.tobytes()).hexdigest() for a in (y.data, x.grad, w.grad, b.grad)]
 
 
@@ -259,7 +259,7 @@ class TestConvAgainstNaiveLoop:
         x, w, b = (Tensor(r.standard_normal(s), requires_grad=True) for s in (shape, wshape, (o,)))
         y = ad.dwconv2d(x, w, b, pad) if depthwise else ad.conv2d(x, w, b, stride, pad)
         g = r.standard_normal(y.data.shape)
-        y._backward(g)
+        x.grad, w.grad, b.grad = y._backward(g)
         want = naive_conv(x.data, w.data, b.data, g, stride, pad, depthwise)
         for got, ref in zip((y.data, x.grad, w.grad, b.grad), want):
             assert got.shape == ref.shape
@@ -349,6 +349,18 @@ class TestBackward:
         # buffers must still be apart
         assert joined.grad is None and y.grad is None
         assert not np.shares_memory(a.grad, b.grad)
+
+    @pytest.mark.parametrize("pool_first", [True, False])
+    def test_one_pixel_pool_gradient_takes_a_second_gradient(self, pool_first):
+        # spatial_mean's gradient of a 1x1 input is a read-only broadcast view;
+        # whichever of x's two uses backward reaches first, x.grad must be an
+        # array of its own that the other use's gradient can be added into
+        leaf = Tensor(np.array([[[[1.0]], [[2.0]]]]), requires_grad=True)
+        x = ad.relu(leaf)
+        pooled, passed = ad.spatial_mean(x), ad.relu(x)
+        ad.mean_all(ad.add(pooled, passed) if pool_first else ad.add(passed, pooled)).backward()
+        assert np.array_equal(leaf.grad, np.ones((1, 2, 1, 1)))
+        assert leaf.grad.flags.writeable
 
     def test_graph_reusable_after_grad_reset(self):
         x = T((2, 2))

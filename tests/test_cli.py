@@ -323,6 +323,9 @@ def test_empty_directory_argument_exits_1(workspace, tmp_path, monkeypatch, caps
     ["remove", "--in", "clean", "--method", "analytic-est", "--out", ""],
     ["remove", "--in", "clean", "--method", "analytic-known", "--manifest", "", "--out", "r"],
     ["eval", "--sets", "a=clean", "--out", ""],
+    ["synth", "--clean", "clean", "--phi", "", "--out", "d", "--manifest", "m.jsonl"],
+    ["eval", "--sets", "a=clean", "--pairs", " ", "--out", "r.json"],
+    ["remove", "--in", "clean", "--method", "learned", "--weights", "", "--out", "r"],
 ])
 def test_blank_output_path_exits_1(workspace, tmp_path, monkeypatch, capsys, argv):
     # an empty path is the working directory; nothing may be written there
@@ -460,6 +463,23 @@ def test_remove_out_that_is_the_in_directory_exits_1_inputs_unchanged(workspace,
     assert code == 1
     assert "is the --in directory" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+
+
+@pytest.mark.parametrize("out", ["{c}", "{c}/.", "{c}/../clean"])
+def test_synth_out_that_is_the_clean_directory_exits_1_inputs_unchanged(workspace, tmp_path, capsys, out):
+    # dusty frames written beside the clean ones would be paired as clean by the next run
+    c = tmp_path / "clean"
+    c.mkdir()
+    for png in (workspace / "clean").glob("*.png"):
+        (c / png.name).write_bytes(png.read_bytes())
+    (tmp_path / "phi.json").write_text('{"phi": [0.8, 0.6, 0.4]}')
+    before = {p.name: p.read_bytes() for p in c.iterdir()}
+    code = run(["synth", "--clean", str(c), "--phi", str(tmp_path / "phi.json"), "--maps", "1",
+                "--out", out.format(c=c), "--manifest", str(tmp_path / "m.jsonl")])
+    assert code == 1
+    assert "is the --clean directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in c.iterdir()} == before
+    assert not (tmp_path / "m.jsonl").exists()
 
 
 def test_remove_learned_roundtrip(workspace, tmp_path):

@@ -25,3 +25,24 @@ def test_no_private_names_imported_across_modules():
         if name.startswith("_")
     ]
     assert reaches == []
+
+
+def _grad_stores(node, in_tensor=False):
+    """Line numbers of assignments to an attribute named ``grad`` below
+    ``node`` that lie outside ``class Tensor``."""
+    for child in ast.iter_child_nodes(node):
+        inside = in_tensor or (isinstance(child, ast.ClassDef) and child.name == "Tensor")
+        stored = isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store)
+        if stored and child.attr == "grad" and not inside:
+            yield child.lineno
+        yield from _grad_stores(child, inside)
+
+
+def test_only_tensor_methods_assign_grad():
+    # ops return their parents' gradients; Tensor.backward alone stores them
+    stores = [
+        f"{path.relative_to(PACKAGE)}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for lineno in _grad_stores(ast.parse(path.read_text()))
+    ]
+    assert stores == []
