@@ -107,6 +107,7 @@ def remove_learned(H: Image, model) -> Image:
     if H.channels != cfg.in_channels:
         raise ValidationError(f"model expects {cfg.in_channels} channels, image has {H.channels}")
     h, w = H.height, H.width  # edge-padded up to multiples of 4 for the two stride-2 layers
-    chw = np.pad(np.moveaxis(H.data, 2, 0), ((0, 0), (0, -h % 4), (0, -w % 4)), mode="edge")
+    chw = np.moveaxis(H.data, 2, 0).astype(np.float32)  # the network runs in float32
+    chw = np.pad(chw, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="edge")
     out = forward(weights, cfg, chw[None])[0, :, :h, :w]
-    return Image(np.moveaxis(out, 0, 2).copy())
+    return Image(np.ascontiguousarray(np.moveaxis(out, 0, 2), dtype=np.float64))

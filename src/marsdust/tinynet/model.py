@@ -85,8 +85,7 @@ def init_weights(
         if name.endswith(".b"):
             tensors[name] = np.zeros(shape, dtype=dtype)
             continue
-        fan_in = int(np.prod(shape[1:]))
-        std = np.sqrt(2.0 / fan_in)
+        std = np.sqrt(2.0 / np.prod(shape[1:]))  # He-normal over the fan-in
         arr = rng.normal(0.0, std, size=shape)
         if head_zero and name == "head.w":
             arr = np.zeros(shape)
@@ -94,8 +93,8 @@ def init_weights(
     return tensors
 
 
-def build_params(weights: dict[str, np.ndarray], cfg: NetConfig, dtype=None) -> dict[str, Tensor]:
-    """Wrap weight arrays as trainable tensors, validating names and shapes."""
+def _check_weights(weights: dict[str, np.ndarray], cfg: NetConfig) -> None:
+    """Raise ValidationError unless ``weights`` holds exactly cfg's names and shapes."""
     expected = param_shapes(cfg)
     missing = [n for n in expected if n not in weights]
     extra = [n for n in weights if n not in expected]
@@ -103,16 +102,17 @@ def build_params(weights: dict[str, np.ndarray], cfg: NetConfig, dtype=None) -> 
         raise ValidationError(
             f"weights do not match config: missing {missing[:3]}, unexpected {extra[:3]}"
         )
-    params = {}
     for name, shape in expected.items():
-        arr = weights[name]
-        if tuple(arr.shape) != shape:
+        if tuple(weights[name].shape) != shape:
             raise ValidationError(
-                f"weight {name} has shape {tuple(arr.shape)}, config expects {shape}"
+                f"weight {name} has shape {tuple(weights[name].shape)}, config expects {shape}"
             )
-        data = arr if dtype is None else arr.astype(dtype)
-        params[name] = Tensor(np.array(data), requires_grad=True)
-    return params
+
+
+def build_params(weights: dict[str, np.ndarray], cfg: NetConfig, dtype=None) -> dict[str, Tensor]:
+    """Copy weight arrays into trainable tensors, validating names and shapes."""
+    _check_weights(weights, cfg)
+    return {n: Tensor(np.array(arr, dtype=dtype), requires_grad=True) for n, arr in weights.items()}
 
 
 def graph_forward(
@@ -168,11 +168,10 @@ def graph_forward(
 
 
 def forward(weights: dict[str, np.ndarray], cfg: NetConfig, x: np.ndarray) -> np.ndarray:
-    """Inference entry point: numpy (B, C, H, W) in, numpy out, no graph."""
-    params = build_params(weights, cfg, dtype=np.float64)
-    for p in params.values():
-        p.requires_grad = False  # so no op records a graph node
-    return graph_forward(params, cfg, Tensor(np.asarray(x, dtype=np.float64))).data
+    """Inference in float32, the weights' own dtype: numpy (B, C, H, W) in and out, no graph."""
+    _check_weights(weights, cfg)
+    params = {name: Tensor(np.asarray(arr, dtype=np.float32)) for name, arr in weights.items()}
+    return graph_forward(params, cfg, Tensor(np.asarray(x, dtype=np.float32))).data
 
 
 def infer_config(weights: dict[str, np.ndarray]) -> NetConfig:
@@ -187,5 +186,5 @@ def infer_config(weights: dict[str, np.ndarray]) -> NetConfig:
         ddsc_layers=len({n.split(".")[1] for n in weights if n.startswith("ddsc0.l")}),
         growth=weights["ddsc0.l0.pw.w"].shape[0],
     )
-    build_params(weights, cfg)  # validates the full table
+    _check_weights(weights, cfg)  # validates the full table
     return cfg
