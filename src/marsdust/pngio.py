@@ -15,15 +15,19 @@ faster than level 6: 1.61-1.73x in about 19 ms against 1.46-1.59x in
 The decoder understands all five standard filters so externally produced
 files load too.  Images with any filtered row, such as the Average and
 Paeth rows libpng picks for nearly every row of a photograph, go through a
-wavefront that rebuilds one anti-diagonal of pixels per numpy step.  The
-decoder refuses images of more than ``MAX_PIXELS`` pixels before it
-inflates anything, inflates at most one byte more than the header
-promises, and rejects critical chunks it does not know, as the PNG
-specification requires; ancillary chunks are skipped.
+wavefront that rebuilds one anti-diagonal of pixels per numpy step.  As
+every predictor but None is upleft plus a function of left - upleft and
+up - upleft, a step looks its predictions up in a 1 MB uint8 table of those
+functions, built on the first filtered decode, not at import.  The decoder
+refuses images of more than ``MAX_PIXELS`` pixels before it inflates
+anything, inflates at most one byte more than the header promises, and
+rejects critical chunks it does not know, as the PNG specification
+requires; ancillary chunks are skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from pathlib import Path
@@ -146,55 +150,65 @@ def read_png(path) -> tuple[np.ndarray, int]:
         raise DecodeError(f"{path}: corrupt compressed image data (truncated stream)")
     del idat, inflater
 
-    recon = _unfilter(np.frombuffer(plain, dtype=np.uint8).reshape(height, 1 + row_bytes), row_bytes, bpp, path)
-    del plain
+    raw = np.frombuffer(plain, dtype=np.uint8).reshape(height, 1 + row_bytes)
+    invalid = np.flatnonzero(raw[:, 0] > 4)
+    if invalid.size:
+        raise DecodeError(f"{path}: invalid scanline filter type {raw[invalid[0], 0]}")
+    recon = _unfilter_wavefront(raw, width, bpp) if raw[:, 0].any() else raw[:, 1:].copy()
+    del plain, raw
     if depth == 16:
         recon = recon.view(">u2").astype(np.uint16)  # PNG samples are big-endian
     return recon.reshape(height, width, channels), depth
 
 
-def _unfilter(raw: np.ndarray, row_bytes: int, bpp: int, path) -> np.ndarray:
-    filters = raw[:, 0]
-    invalid = np.flatnonzero(filters > 4)
-    if invalid.size:
-        raise DecodeError(f"{path}: invalid scanline filter type {filters[invalid[0]]}")
-    if not filters.any():
-        return raw[:, 1:].copy()
-    return _unfilter_wavefront(raw, row_bytes // bpp, bpp)
+@functools.cache
+def _prediction_table() -> np.ndarray:
+    """(prediction - upleft) mod 256 of filters 1-4, read-only, at flat index
+    (ftype - 1) * 511**2 + 511 * (left - upleft + 255) + up - upleft + 255.
+    The in-place steps keep the build's scratch below the table's 1.0 MB."""
+    d = np.arange(-255, 256, dtype=np.int16)
+    d1, d2 = d[:, None], d[None, :]  # left - upleft, up - upleft
+    table = np.zeros((4, 511, 511), dtype=np.uint8)
+    table[0], table[1] = d1, d2  # Sub, Up; stores wrap mod 256
+    pc = d1 + d2
+    np.right_shift(pc, 1, out=table[2], casting="unsafe")  # Average
+    np.abs(pc, out=pc)  # Paeth: a if pa <= min(pb, pc), else b if pb <= pc, else c
+    np.copyto(table[3], d2, casting="unsafe", where=np.abs(d1) <= pc)
+    np.minimum(pc, np.abs(d1), out=pc)
+    np.copyto(table[3], d1, casting="unsafe", where=np.abs(d2) <= pc)
+    table.flags.writeable = False
+    return table.reshape(-1)
 
 
 def _unfilter_wavefront(raw: np.ndarray, width: int, bpp: int) -> np.ndarray:
     """Undo any mix of the five filters, one anti-diagonal of pixels per step.
 
-    A pixel (y, x) is predicted from (y, x-1), (y-1, x) and (y-1, x-1) only,
-    so the pixels with equal x + y are independent of each other and every
-    row advances by one pixel per numpy step, with its own filter.
+    Pixel (y, x) is predicted from (y, x-1), (y-1, x) and (y-1, x-1) only, so
+    every row advances one pixel per step, with its own filter.
     ``diag[d % 2][y + 1]`` holds pixel (y, d - y) while diagonals d and d + 1
-    are being built.  Slot 0 is the zero row above the image, and a row's
-    slot stays zero until the wavefront enters that row: the zero pixel to
-    the left of column 0.  Slots of rows the wavefront has left are stale
-    but never read.
+    are built.  Slot 0 is the zero row above the image; a row's slot is the
+    zero pixel left of column 0 until the wavefront enters the row, and stale
+    but never read once it has left.
     """
     height = raw.shape[0]
-    filters = raw[:, :1]
+    table = _prediction_table()
+    offsets = np.maximum(raw[:, :1].astype(np.int32) - 1, 0) * 511**2 + 255 * 512  # None reads Sub's
+    none_rows = raw[:, :1] == 0 if 0 in raw[:, 0] else None
     residuals = raw[:, 1:].reshape(height * width, bpp)
-    recon = np.empty((height, width * bpp), dtype=np.uint8)
-    pixels_out = recon.reshape(height * width, bpp)
-    masks = [(ftype, mask) for ftype in range(4) if (mask := filters == ftype).any()]
-    diag = np.zeros((2, height + 1, bpp), dtype=np.int16)
+    recon = np.empty((height * width, bpp), dtype=np.uint8)
+    diag = np.zeros((2, height + 1, bpp), dtype=np.uint8)
     for k in range(height + width - 1):
         lo, hi = max(0, k - width + 1), min(height, k + 1)
         last, before = diag[(k + 1) % 2], diag[k % 2]
         left, up, upleft = last[lo + 1 : hi + 1], last[lo:hi], before[lo:hi]
-        pa, pb, pc = np.abs(up - upleft), np.abs(left - upleft), np.abs(left + up - 2 * upleft)
-        pred = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))  # Paeth
-        others = (0, left, up, (left + up) >> 1)  # None, Sub, Up, Average
-        for ftype, mask in masks:
-            np.copyto(pred, others[ftype], where=mask[lo:hi])
+        index = offsets[lo:hi] + 511 * left.astype(np.int32) + up - 512 * upleft.astype(np.int32)
+        pred = table.take(index)
         # pixel (y, k - y) has flat index k + y * (width - 1)
         pixels = slice(k + lo * (width - 1), k + (hi - 1) * (width - 1) + 1, max(width - 1, 1))
+        pred += upleft  # uint8 adds wrap mod 256, as the filters do
         pred += residuals[pixels]
-        pred &= 255
-        pixels_out[pixels] = pred
+        if none_rows is not None:
+            np.copyto(pred, residuals[pixels], where=none_rows[lo:hi])
+        recon[pixels] = pred
         before[lo + 1 : hi + 1] = pred
-    return recon
+    return recon.reshape(height, width * bpp)

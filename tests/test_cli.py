@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import marsdust
-from marsdust import cli
+from marsdust import cli, pngio
 from marsdust.cli import run
 from marsdust.degrade import DatasetManifest, PairRecord
 from marsdust.raster import Image, load_image, save_image
 from marsdust.tinynet import NetConfig, init_weights, save_weights
 
 from conftest import make_clean_image, make_dust_patches
+from test_pngio import encode_png, terrain_samples
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +524,26 @@ def test_remove_jobs_parallel_identical(workspace, tmp_path):
     assert [p.name for p in f1] == [p.name for p in f2] and f1
     for a, b in zip(f1, f2):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_remove_est_on_libpng_filtered_frames_same_bytes_at_any_jobs(tmp_path):
+    plain, filtered = tmp_path / "plain", tmp_path / "filtered"
+    plain.mkdir()
+    filtered.mkdir()
+    for i in range(3):
+        samples = terrain_samples(840 + i, 96)
+        pngio.write_png(plain / f"f{i}.png", samples, 8)
+        blob, filters = encode_png(samples, 8)
+        assert {3, 4} <= set(filters.tolist())
+        (filtered / f"f{i}.png").write_bytes(blob)
+    outputs = []
+    for src, jobs in ((filtered, "2"), (filtered, "1"), (plain, "1")):
+        pngio._prediction_table.cache_clear()  # two threads may both build it; either copy serves
+        out = tmp_path / f"{src.name}-{jobs}"
+        assert run(["remove", "--in", str(src), "--method", "analytic-est", "--out", str(out),
+                    "--jobs", jobs]) == 0
+        outputs.append([p.read_bytes() for p in sorted(out.glob("*.png"))])
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1] == outputs[2]
 
 
 def test_remove_jobs_zero_exits_1(workspace, tmp_path, capsys):

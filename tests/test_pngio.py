@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from marsdust.errors import DecodeError
-from marsdust.pngio import MAX_PIXELS, read_png, write_png
+from marsdust.pngio import MAX_PIXELS, _prediction_table, read_png, write_png
 
 from conftest import make_clean_image, png_blob
 
@@ -37,11 +37,19 @@ def filter_residuals(rows: np.ndarray, bpp: int) -> np.ndarray:
     up[1:] = raw[:-1]
     upleft = np.zeros_like(raw)
     upleft[1:, bpp:] = raw[:-1, :-bpp]
+    return ((raw - spec_predictions(left, up, upleft)) % 256).astype(np.uint8)
+
+
+def spec_predictions(left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray:
+    """The five predictions of the PNG specification, stacked by filter type.
+
+    Inputs are int16 byte values; so is the result, before any mod 256.  A
+    Paeth tie goes to left, then up, then upleft, in the specification's order.
+    """
     p = left + up - upleft
     pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
     paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
-    predictors = np.stack((np.zeros_like(raw), left, up, (left + up) // 2, paeth))
-    return ((raw - predictors) % 256).astype(np.uint8)
+    return np.stack((np.zeros_like(p), left, up, (left + up) // 2, paeth))
 
 
 def libpng_filters(residuals: np.ndarray) -> np.ndarray:
@@ -124,6 +132,71 @@ def test_libpng_mix_on_terrain_matches_golden(tmp_path):
     assert depth == 8 and np.array_equal(decoded, samples)
     digest = hashlib.sha256(decoded.tobytes()).hexdigest()
     assert digest == "f477415f5019411d978e52df67a70dc83120992d13fd0a9a1f27f7555f75d2fb"
+
+
+def test_step_prediction_matches_the_spec_for_every_byte_triple():
+    # a wavefront step predicts upleft plus the table entry at the index its
+    # docstring gives; the decode tests below pin that the step reads it so
+    table = _prediction_table()
+    byte = np.arange(256, dtype=np.int16)
+    for first in range(0, 256, 16):
+        left, up, upleft = (g.reshape(-1) for g in np.meshgrid(
+            byte, byte, byte[first : first + 16], indexing="ij"))
+        expected = spec_predictions(left, up, upleft) % 256
+        index = 511 * (left - upleft + 255).astype(np.int32) + up - upleft + 255
+        for ftype in range(1, 5):
+            step = (table[(ftype - 1) * 511**2 + index] + upleft) % 256
+            assert np.array_equal(step, expected[ftype]), f"filter {ftype}, upleft from {first}"
+
+
+# Bytes near 0, 128 and 255 make mod-256 wraps and Paeth ties common.  The
+# ties that change a prediction need left - upleft = -2 (up - upleft) or the
+# mirror, which 0, 1, 127, 128, 254 and 255 alone never give; 2, 3, 252 and
+# 253 do (upleft 2, up 3, left 0).
+TIE_BYTES = np.array([0, 1, 2, 3, 127, 128, 252, 253, 254, 255], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("row_filters", [[4], [3], [4, 0, 3, 0]], ids=["paeth", "average", "with-none"])
+@pytest.mark.parametrize("height, width, channels, bit_depth", [(40, 300, 1, 8), (64, 64, 3, 16)])
+def test_tie_and_wrap_heavy_frames_decode_exactly(tmp_path, row_filters, height, width, channels, bit_depth):
+    rng = np.random.default_rng(height * width + len(row_filters))
+    data = rng.choice(TIE_BYTES, size=(height, width, channels * bit_depth // 8))
+    samples = data if bit_depth == 8 else data.view(">u2").astype(np.uint16)
+    blob, _ = encode_png(samples, bit_depth, np.resize(row_filters, height))
+    (tmp_path / "ties.png").write_bytes(blob)
+    decoded, depth = read_png(tmp_path / "ties.png")
+    assert depth == bit_depth and decoded.dtype == samples.dtype
+    assert np.array_equal(decoded, samples)
+
+
+def test_prediction_table_is_built_once_on_the_first_filtered_decode(tmp_path):
+    samples = random_samples(3, 8, 8, 3, 8)
+    write_png(tmp_path / "plain.png", samples, 8)
+    (tmp_path / "paeth.png").write_bytes(encode_png(samples, 8, [4] * 8)[0])
+    _prediction_table.cache_clear()
+    read_png(tmp_path / "plain.png")
+    assert _prediction_table.cache_info().currsize == 0  # plain files never build it
+    read_png(tmp_path / "paeth.png")
+    table = _prediction_table()
+    assert _prediction_table() is table and _prediction_table.cache_info().misses == 1
+    assert table.nbytes <= 1.25 * 2**20 and not table.flags.writeable
+
+
+def test_libpng_mix_decode_peak_is_three_times_the_samples(tmp_path):
+    samples = terrain_samples(1024, 1024)
+    blob, filters = encode_png(samples, 8)
+    assert {3, 4} <= set(filters.tolist())
+    (tmp_path / "big.png").write_bytes(blob)
+    del blob
+    _prediction_table()  # a process's first filtered decode builds it; not counted here
+    tracemalloc.start()
+    try:
+        decoded, _ = read_png(tmp_path / "big.png")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded, samples)
+    assert peak <= 3.1 * samples.nbytes
 
 
 @pytest.mark.parametrize("filters", [[5, 0, 0, 0], [4, 4, 5, 3]], ids=["row0", "after-paeth"])
