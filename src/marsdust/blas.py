@@ -1,4 +1,5 @@
-"""The BLAS numpy loaded: its name, and a block that runs it on one thread.
+"""The BLAS numpy loaded: its name, a block that runs it on one thread, and
+the ``--jobs`` map that runs inside such a block.
 
 Matrix products split across BLAS threads may sum in a thread-dependent
 order, so a result can depend on ``OPENBLAS_NUM_THREADS``.  Code that wants
@@ -11,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,3 +51,10 @@ def one_blas_thread():
                 return
     logger.debug("no OpenBLAS thread control in numpy's libraries (BLAS: %s)", blas_name())
     yield None
+
+
+def map_in_order(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, run on ``jobs`` threads with BLAS on
+    one, so the results and their bytes are the same at every ``jobs``."""
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))

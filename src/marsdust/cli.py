@@ -8,19 +8,15 @@ Verbosity comes from MARSDUST_LOG (error|warn|info|debug) or --verbose.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .atomic import write_atomic
-from .blas import one_blas_thread
+from .blas import map_in_order
 from .degrade import (
     DatasetManifest,
     Reflexivity,
@@ -46,14 +42,10 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise ValidationError(message)
 
 
 def _positive_int(text: str) -> int:
@@ -237,8 +229,7 @@ def _cmd_remove(args) -> int:
             return exc
         return None
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        errors = list(pool.map(one, paths))
+    errors = map_in_order(one, paths, args.jobs)
     codes = [_report(exc, str(path)) for path, exc in zip(paths, errors) if exc is not None]
     if codes:  # every failed file has its line; the first one sets the exit code
         return codes[0]
@@ -296,14 +287,9 @@ def _report(exc: Exception, path: str = "") -> int:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _setup_logging(args.verbose)
-    try:
+        args = _build_parser().parse_args(argv)
+        _setup_logging(args.verbose)
         for flag in ("out", "manifest", "phi", "pairs", "weights"):  # checked before any work is done
             if getattr(args, flag, None) is not None:
                 _nonblank(getattr(args, flag), f"--{flag}", "path")
@@ -312,9 +298,7 @@ def run(argv) -> int:
             _check_file_output(getattr(args, flag), f"--{flag}")
         if args.command == "train":  # its report, written after the weights
             _check_file_output(str(report_path(args.out)), "the report of --out")
-        # with --jobs, the worker threads are the one source of parallelism
-        with one_blas_thread() if hasattr(args, "jobs") else contextlib.nullcontext():
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except (MarsdustError, OSError) as exc:
         return _report(exc)
 

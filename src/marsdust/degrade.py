@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import write_atomic
+from .blas import map_in_order
 from .errors import EstimationError, ManifestError, ValidationError
 from .metrics import tile_dust_scores
 from .noise import NoiseField, PerlinParams, perlin2d, sample_params
@@ -325,8 +325,7 @@ def generate_pairs(
             records.append(rec)
         return records
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = list(pool.map(synth_one, range(len(clean_paths)), clean_paths))
+    chunks = map_in_order(lambda indexed: synth_one(*indexed), enumerate(clean_paths), jobs)
     records = [rec for chunk in chunks for rec in chunk]
     logger.info("generated %d dusty images from %d clean", len(records), len(clean_paths))
     return DatasetManifest(records)

@@ -12,13 +12,13 @@ import functools
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import fmean
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .blas import map_in_order
 from .errors import DecodeError, ValidationError
 from .raster import Image, list_pngs, load_image
 
@@ -209,8 +209,9 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
     ``sets`` maps label -> directory.  When a manifest is given, images
     whose filename matches a manifest dusty entry are scored against their
     clean counterpart.  Unreadable images, and scored images whose clean
-    reference is unreadable, are skipped with a warning and listed with the
-    decode error in ``report.skipped``.
+    reference is unreadable or of another width, height or channel count,
+    are skipped with a warning and listed with the reason in
+    ``report.skipped``.
     Images are scored on ``jobs`` threads; rows keep input order.
     """
     records = pairs.by_dusty_name() if pairs is not None else {}
@@ -229,22 +230,25 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
             except DecodeError as exc:
                 logger.warning("skipping %s: unreadable clean reference %s: %s", path, rec.clean, exc)
                 return {"path": str(path), "reason": f"clean reference {rec.clean}: {exc}"}
-            if ref.data.shape == img.data.shape:
-                row["psnr"] = psnr(ref, img)
-                row["ssim"] = ssim(ref, img)
+            if ref.data.shape != img.data.shape:
+                dims = [f"{im.width}x{im.height}x{im.channels}" for im in (ref, img)]
+                reason = f"clean reference {rec.clean} is {dims[0]}, image is {dims[1]}"
+                logger.warning("skipping %s: %s", path, reason)
+                return {"path": str(path), "reason": reason}
+            row["psnr"] = psnr(ref, img)
+            row["ssim"] = ssim(ref, img)
         return row
 
     report = CorpusReport()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for label, directory in sets.items():
-            paths = list_pngs(directory)
-            if not paths:
-                raise ValidationError(f"set '{label}' is empty")
-            rows = list(pool.map(lambda p: score_one(label, p), paths))
-            report.skipped += [row for row in rows if "reason" in row]
-            scored = [row for row in rows if "reason" not in row]
-            if not scored:
-                raise ValidationError(f"set '{label}' has no readable images")
-            report.rows += scored
-            report.sets.append(_set_summary(label, scored))
+    for label, directory in sets.items():
+        paths = list_pngs(directory)
+        if not paths:
+            raise ValidationError(f"set '{label}' is empty")
+        rows = map_in_order(lambda p: score_one(label, p), paths, jobs)
+        report.skipped += [row for row in rows if "reason" in row]
+        scored = [row for row in rows if "reason" not in row]
+        if not scored:
+            raise ValidationError(f"set '{label}' has no image left to score")
+        report.rows += scored
+        report.sets.append(_set_summary(label, scored))
     return report

@@ -116,11 +116,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0, e) / (1.0 + e)
     return _node(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 

@@ -1,6 +1,6 @@
-"""BLAS thread count: inside a subcommand with --jobs, and inside every
-training run, OpenBLAS runs on one thread, so learned removal gives the same
-bytes whatever its pool size, and training writes the same weights at any
+"""BLAS thread count: inside every --jobs map and every training run,
+OpenBLAS runs on one thread, so learned removal gives the same bytes whatever
+its pool size, and training writes the same weights at any
 OPENBLAS_NUM_THREADS."""
 
 import ctypes
@@ -9,15 +9,16 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import marsdust
-from marsdust import cli
-from marsdust.blas import blas_name
-from marsdust.cli import one_blas_thread, run
+from marsdust import blas
+from marsdust.blas import blas_name, map_in_order, one_blas_thread
+from marsdust.cli import run
 from marsdust.degrade import estimate_reflexivity, generate_pairs
 from marsdust.raster import Image, save_image
 from marsdust.tinynet import NetConfig, init_weights, save_weights
@@ -31,7 +32,7 @@ FRAMES = ((132, 260), (256, 256), (384, 512))
 _SCRIPT = f"""
 import hashlib, json
 import numpy as np
-from marsdust.cli import one_blas_thread
+from marsdust.blas import one_blas_thread
 from marsdust.raster import Image
 from marsdust.restore import remove_learned
 from marsdust.tinynet import NetConfig, init_weights
@@ -127,7 +128,7 @@ def fake_openblas(tmp_path, monkeypatch):
     (tmp_path / "numpy").mkdir()
     (tmp_path / "numpy.libs").mkdir()
     (tmp_path / "numpy.libs" / "libopenblas-0123.so").touch()
-    monkeypatch.setattr(cli.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    monkeypatch.setattr(blas.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
     monkeypatch.setattr(ctypes, "CDLL", _FakeOpenBLAS)
     monkeypatch.setattr(_FakeOpenBLAS, "threads", 4)
     return _FakeOpenBLAS
@@ -170,5 +171,43 @@ def test_real_openblas_count_restored():
     with pytest.raises(RuntimeError):
         with one_blas_thread():
             raise RuntimeError
+    with one_blas_thread() as after:
+        assert after == outer
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_map_in_order_keeps_input_order_when_fn_finishes_out_of_order(jobs):
+    second_done, finished = threading.Event(), []
+
+    def fn(i):
+        if i == 0 and jobs > 1:  # another worker takes item 1; item 0 ends after it
+            assert second_done.wait(timeout=30)
+        finished.append(i)
+        if i == 1:
+            second_done.set()
+        return i * i
+
+    assert map_in_order(fn, range(8), jobs) == [i * i for i in range(8)]
+    assert sorted(finished) == list(range(8))
+    assert (finished == sorted(finished)) == (jobs == 1)
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_map_in_order_runs_fn_on_one_blas_thread_then_restores(raises):
+    with one_blas_thread() as outer:
+        if outer is None:
+            pytest.skip(f"no OpenBLAS thread control found; numpy's BLAS is {blas_name()}")
+
+    def fn(i):
+        with one_blas_thread() as inside:  # yields the count fn ran under
+            if raises and i == 2:
+                raise RuntimeError(inside)
+            return inside
+
+    if raises:
+        with pytest.raises(RuntimeError, match="^1$"):
+            map_in_order(fn, range(4), 2)
+    else:
+        assert map_in_order(fn, range(4), 2) == [1, 1, 1, 1]
     with one_blas_thread() as after:
         assert after == outer

@@ -377,6 +377,25 @@ def test_unwritable_output_file_exits_2_before_any_work(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--clean", "clean", "--phi", "phi.json", "--out", "taken", "--manifest", "m.jsonl"],
+    ["remove", "--in", "clean", "--method", "analytic-est", "--out", "taken"],
+])
+def test_directory_output_that_is_a_file_exits_2_writing_nothing(workspace, tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "clean").mkdir()
+    for png in (workspace / "clean").glob("*.png"):
+        (tmp_path / "clean" / png.name).write_bytes(png.read_bytes())
+    (tmp_path / "phi.json").write_text('{"phi": [0.8, 0.6, 0.4]}')
+    (tmp_path / "taken").write_text("a file, not a directory")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and "taken" in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text() == "a file, not a directory"
+
+
 def test_train_report_path_a_directory_exits_2_before_training(synth_pairs, tmp_path, monkeypatch, capsys):
     # the report is written after the weights, so it is checked before any epoch
     _, manifest = synth_pairs

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
@@ -275,7 +276,6 @@ class TestCorpusReport:
         a, b = image_dirs
         broken = a / "broken.png"
         broken.write_bytes((b / "y0.png").read_bytes()[:60])  # truncated PNG
-        import logging
 
         with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
             report = corpus_report({"a": a, "b": b})
@@ -307,3 +307,24 @@ class TestCorpusReport:
         s = next(s for s in payload["sets"] if s["label"] == "dusty")
         assert s["psnr_mean"] == "inf"
         assert s["ssim_mean"] == 1.0
+
+    def test_pairing_of_another_size_skipped_with_both_sizes(self, tmp_path, caplog):
+        from marsdust.degrade import DatasetManifest, PairRecord
+
+        d_clean, d_dusty = tmp_path / "clean", tmp_path / "dusty"
+        d_clean.mkdir()
+        d_dusty.mkdir()
+        for name, (w, h) in {"same": (32, 32), "wide": (40, 32)}.items():
+            save_image(make_clean_image(60, 32, 32), d_clean / f"{name}.png", 8)
+            save_image(make_clean_image(61, w, h), d_dusty / f"{name}.png", 8)
+        manifest = DatasetManifest(
+            [PairRecord(str(d_clean / f"{name}.png"), str(d_dusty / f"{name}.png"),
+                        64.0, 2, 2.0, 0.5, 0.4, (1.0, 1.0, 1.0), 0) for name in ("same", "wide")]
+        )
+        with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
+            report = corpus_report({"dusty": d_dusty}, pairs=manifest)
+        reason = f"clean reference {d_clean / 'wide.png'} is 32x32x3, image is 40x32x3"
+        assert report.skipped == [{"path": str(d_dusty / "wide.png"), "reason": reason}]
+        assert [row["path"] for row in report.rows] == [str(d_dusty / "same.png")]
+        assert "psnr" in report.rows[0] and report.sets[0]["n"] == 1
+        assert [rec.getMessage() for rec in caplog.records] == [f"skipping {d_dusty / 'wide.png'}: {reason}"]
