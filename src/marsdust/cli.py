@@ -59,7 +59,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="marsdust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, jobs=False):
+    def common(p, handler, output=None, seed=False, jobs=False):
+        """Shared flags; ``run`` checks ``output``, the one output file's flag, then calls ``handler``."""
+        p.set_defaults(handler=handler, output=output)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if jobs:
@@ -69,7 +71,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate-phi", help="estimate dust reflexivity from heavy-dust patches")
     p.add_argument("--patches", required=True, help="directory of patch PNGs, or a JSON list of paths")
     p.add_argument("--out", required=True, help="output phi.json")
-    common(p)
+    common(p, _cmd_estimate_phi, "out")
 
     p = sub.add_parser("synth", help="synthesize dusty counterparts for clean images")
     p.add_argument("--clean", required=True)
@@ -77,7 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--maps", type=int, default=7)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", required=True)
-    common(p, seed=True, jobs=True)
+    common(p, _cmd_synth, "manifest", seed=True, jobs=True)  # --out is a directory
 
     p = sub.add_parser("train", help="train the restoration network on a pair manifest")
     p.add_argument("--manifest", required=True)
@@ -87,7 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--out", required=True)
-    common(p, seed=True)
+    common(p, _cmd_train, "out", seed=True)
 
     p = sub.add_parser("remove", help="remove dust from a directory of images")
     p.add_argument("--in", dest="in_dir", required=True)
@@ -96,13 +98,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights")
     p.add_argument("--manifest")
     p.add_argument("--out", required=True)
-    common(p, jobs=True)
+    common(p, _cmd_remove, jobs=True)  # --out is a directory
 
     p = sub.add_parser("eval", help="dust-index / PSNR / SSIM report over image sets")
     p.add_argument("--sets", required=True, help="label=dir[,label=dir...]")
     p.add_argument("--pairs")
     p.add_argument("--out", required=True)
-    common(p, jobs=True)
+    common(p, _cmd_eval, "out", jobs=True)
 
     return parser
 
@@ -254,19 +256,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "estimate-phi": _cmd_estimate_phi,
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "remove": _cmd_remove,
-    "eval": _cmd_eval,
-}
-
-
-# the flag that names each subcommand's one output file (remove and synth --out are directories)
-_FILE_OUTPUT = {"estimate-phi": "out", "synth": "manifest", "train": "out", "eval": "out"}
-
-
 def _check_file_output(text: str, flag: str) -> None:
     """Raise the OSError that writing ``text`` would end with, so it ends no
     run after its work: the path is a directory, or its parent is not one."""
@@ -293,12 +282,11 @@ def run(argv) -> int:
         for flag in ("out", "manifest", "phi", "pairs", "weights"):  # checked before any work is done
             if getattr(args, flag, None) is not None:
                 _nonblank(getattr(args, flag), f"--{flag}", "path")
-        flag = _FILE_OUTPUT.get(args.command)
-        if flag:
-            _check_file_output(getattr(args, flag), f"--{flag}")
+        if args.output:
+            _check_file_output(getattr(args, args.output), f"--{args.output}")
         if args.command == "train":  # its report, written after the weights
             _check_file_output(str(report_path(args.out)), "the report of --out")
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (MarsdustError, OSError) as exc:
         return _report(exc)
 

@@ -208,10 +208,11 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
 
     ``sets`` maps label -> directory.  When a manifest is given, images
     whose filename matches a manifest dusty entry are scored against their
-    clean counterpart.  Unreadable images, and scored images whose clean
-    reference is unreadable or of another width, height or channel count,
-    are skipped with a warning and listed with the reason in
-    ``report.skipped``.
+    clean counterpart.  Unreadable images, images too small to score (under
+    one dust-index tile, or under the SSIM window when paired), and scored
+    images whose clean reference is unreadable or of another width, height
+    or channel count, are skipped with a warning and listed with the reason
+    in ``report.skipped``.
     Images are scored on ``jobs`` threads; rows keep input order.
     """
     records = pairs.by_dusty_name() if pairs is not None else {}
@@ -222,22 +223,26 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
         except DecodeError as exc:
             logger.warning("skipping unreadable image %s: %s", path, exc)
             return {"path": str(path), "reason": str(exc)}
-        row = {"set": label, "path": str(path), "dust_index": dust_index(img)}
-        rec = records.get(path.name)
-        if rec is not None and label != "clean":
+        rec = records.get(path.name) if label != "clean" else None
+        try:
+            ref = None if rec is None else load_image(rec.clean)
+        except DecodeError as exc:
+            logger.warning("skipping %s: unreadable clean reference %s: %s", path, rec.clean, exc)
+            return {"path": str(path), "reason": f"clean reference {rec.clean}: {exc}"}
+        if ref is not None and ref.data.shape != img.data.shape:
+            dims = [f"{im.width}x{im.height}x{im.channels}" for im in (ref, img)]
+            reason = f"clean reference {rec.clean} is {dims[0]}, image is {dims[1]}"
+        else:
             try:
-                ref = load_image(rec.clean)
-            except DecodeError as exc:
-                logger.warning("skipping %s: unreadable clean reference %s: %s", path, rec.clean, exc)
-                return {"path": str(path), "reason": f"clean reference {rec.clean}: {exc}"}
-            if ref.data.shape != img.data.shape:
-                dims = [f"{im.width}x{im.height}x{im.channels}" for im in (ref, img)]
-                reason = f"clean reference {rec.clean} is {dims[0]}, image is {dims[1]}"
-                logger.warning("skipping %s: %s", path, reason)
-                return {"path": str(path), "reason": reason}
-            row["psnr"] = psnr(ref, img)
-            row["ssim"] = ssim(ref, img)
-        return row
+                row = {"set": label, "path": str(path), "dust_index": dust_index(img)}
+                if ref is not None:
+                    row["psnr"] = psnr(ref, img)
+                    row["ssim"] = ssim(ref, img)
+                return row
+            except ValidationError as exc:  # smaller than a dust-index tile or the SSIM window
+                reason = str(exc)
+        logger.warning("skipping %s: %s", path, reason)
+        return {"path": str(path), "reason": reason}
 
     report = CorpusReport()
     for label, directory in sets.items():

@@ -136,11 +136,12 @@ def mean_all(x: Tensor) -> Tensor:
     return _node(np.asarray(x.data.mean(dtype=x.data.dtype)), (x,), lambda g: (np.full_like(x.data, g / n),))
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join (B, C, H, W) tensors along the channel axis."""
     tensors = tuple(tensors)  # the caller may append to its list later
-    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
-                 lambda g: np.split(g, cuts, axis=axis))
+    cuts = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+    return _node(np.concatenate([t.data for t in tensors], axis=1), tensors,
+                 lambda g: np.split(g, cuts, axis=1))
 
 
 def upsample2x(x: Tensor) -> Tensor:
@@ -168,9 +169,10 @@ def _tap_product(wk: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(wk, xs, out=out)
 
 
-def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, pad: int, op: str) -> Tensor:
+def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, op: str) -> Tensor:
     """Grouped convolution, ``wg`` = w.data as (O, C/G, kh, kw): output group g
-    sees only input group g.  x is zero-padded, split into stride x stride
+    sees only input group g.  x is zero-padded by kh // 2 on every side (the
+    "same" size for odd kernels at stride 1), split into stride x stride
     phases (padded rows a::s, columns e::s) and copied into channel-major
     phase planes (s*s, C, B*hq*wq + slack), no im2col.  Output pixel
     (b, y, x) is column q = (b*hq + y)*wq + x, and tap (i, j) reads column
@@ -181,7 +183,7 @@ def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, pad: int, op: str) 
     bs, c, h, wd = x.data.shape
     if cg * groups != c:
         raise ValidationError(f"{op} channel mismatch: input {c}, weight expects {cg * groups}")
-    s = stride
+    s, pad = stride, kh // 2
     hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
     size = bs * hq * wq
     valid = np.s_[: (h + 2 * pad - kh) // s + 1, : (wd + 2 * pad - kw) // s + 1]
@@ -232,14 +234,14 @@ def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, pad: int, op: str) 
     return _node(y, (x, w, b), bw)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """Standard convolution: x (B,C,H,W), w (O,C,kh,kw), b (O,)."""
-    return _conv(x, w, b, w.data, 1, stride, pad, "conv2d")
+    return _conv(x, w, b, w.data, 1, stride, "conv2d")
 
 
-def dwconv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
+def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Depthwise convolution: x (B,C,H,W), w (C,kh,kw), b (C,); stride 1."""
-    return _conv(x, w, b, w.data[:, None], w.data.shape[0], 1, pad, "dwconv2d")
+    return _conv(x, w, b, w.data[:, None], w.data.shape[0], 1, "dwconv2d")
 
 
 def loss_l1(pred: Tensor, target: Tensor) -> Tensor:

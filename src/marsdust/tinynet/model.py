@@ -12,7 +12,6 @@ untouched.  ReLU follows every convolution except the gate outputs
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +43,11 @@ class NetConfig:
         return max(1, self.bottleneck_width // 8)
 
 
-def param_shapes(cfg: NetConfig) -> "OrderedDict[str, tuple]":
-    """Name -> shape table; the single source of truth for the layer layout."""
+def param_shapes(cfg: NetConfig) -> dict[str, tuple]:
+    """Name -> shape table, in layer order; the single source of truth for the layer layout."""
     cin, b = cfg.in_channels, cfg.base_width
     f, r = cfg.bottleneck_width, cfg.attention_width
-    shapes: "OrderedDict[str, tuple]" = OrderedDict()
+    shapes = {}
 
     def conv(name, out_c, in_c, k):
         shapes[f"{name}.w"] = (out_c, in_c, k, k)
@@ -128,40 +127,36 @@ def graph_forward(
             f"spatial dims must be divisible by 4, got {x.data.shape[2]}x{x.data.shape[3]}"
         )
 
-    def conv(name, t, stride=1, pad=0, act="relu"):
-        out = ad.conv2d(t, params[f"{name}.w"], params[f"{name}.b"], stride=stride, pad=pad)
+    def conv(name, t, stride=1, act=ad.relu):
+        """Layer ``name`` (depthwise when its weight has rank 3), then ``act`` unless None."""
+        w, b = params[f"{name}.w"], params[f"{name}.b"]
+        out = ad.dwconv2d(t, w, b) if w.data.ndim == 3 else ad.conv2d(t, w, b, stride=stride)
         if internals is not None:
             internals[f"pre.{name}"] = out
-        return ad.relu(out) if act == "relu" else out
+        return out if act is None else act(out)
 
-    h = conv("stem", x, pad=1)
-    h = conv("down1", h, stride=2, pad=1)
-    h = conv("down2", h, stride=2, pad=1)
+    h = conv("stem", x)
+    h = conv("down1", h, stride=2)
+    h = conv("down2", h, stride=2)
 
     for m in range(cfg.ddsc_modules):
         feats = [h]
         for l in range(cfg.ddsc_layers):
-            inp = feats[0] if l == 0 else ad.concat(feats, axis=1)
-            pre = ad.dwconv2d(inp, params[f"ddsc{m}.l{l}.dw.w"], params[f"ddsc{m}.l{l}.dw.b"], pad=1)
-            if internals is not None:
-                internals[f"pre.ddsc{m}.l{l}.dw"] = pre
-            t = conv(f"ddsc{m}.l{l}.pw", ad.relu(pre))
-            feats.append(t)
-        fused = conv(f"ddsc{m}.fuse", ad.concat(feats, axis=1))
+            t = conv(f"ddsc{m}.l{l}.dw", feats[0] if l == 0 else ad.concat(feats))
+            feats.append(conv(f"ddsc{m}.l{l}.pw", t))
+        fused = conv(f"ddsc{m}.fuse", ad.concat(feats))
         # channel gate, then pixel gate
-        s = conv(f"ddsc{m}.ca1", ad.spatial_mean(fused))
-        s = ad.sigmoid(ad.conv2d(s, params[f"ddsc{m}.ca2.w"], params[f"ddsc{m}.ca2.b"]))
+        s = conv(f"ddsc{m}.ca2", conv(f"ddsc{m}.ca1", ad.spatial_mean(fused)), act=ad.sigmoid)
         gated = ad.mul(fused, s)
-        p = conv(f"ddsc{m}.pa1", gated)
-        p = ad.sigmoid(ad.conv2d(p, params[f"ddsc{m}.pa2.w"], params[f"ddsc{m}.pa2.b"]))
+        p = conv(f"ddsc{m}.pa2", conv(f"ddsc{m}.pa1", gated), act=ad.sigmoid)
         h = ad.mul(gated, p)
         if internals is not None:
             internals[f"ddsc{m}.channel_gate"] = s
             internals[f"ddsc{m}.pixel_gate"] = p
 
-    h = conv("up1", ad.upsample2x(h), pad=1)
-    h = conv("up2", ad.upsample2x(h), pad=1)
-    pred = conv("head", h, pad=1, act=None)
+    h = conv("up1", ad.upsample2x(h))
+    h = conv("up2", ad.upsample2x(h))
+    pred = conv("head", h, act=None)
     if internals is not None:
         internals["prediction"] = pred
     return ad.clamp01(ad.add(x, pred))

@@ -113,7 +113,7 @@ class AdamW:
             p -= self.lr * (update + WEIGHT_DECAY * p)
 
 
-def _load_pairs(manifest: DatasetManifest, patch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _load_pairs(manifest: DatasetManifest, patch: int, channels: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(clean, dusty) CHW float32 pairs; records that share a clean path share its one array."""
     to_chw = lambda path: np.moveaxis(load_image(path).data, 2, 0).astype(np.float32)
     cleans, pairs = {}, []
@@ -123,7 +123,9 @@ def _load_pairs(manifest: DatasetManifest, patch: int) -> list[tuple[np.ndarray,
         clean, dusty = cleans[rec.clean], to_chw(rec.dusty)
         if clean.shape != dusty.shape:
             raise ValidationError(f"pair shape mismatch for {rec.dusty}")
-        _, h, w = clean.shape
+        c, h, w = clean.shape
+        if c != channels:
+            raise ValidationError(f"{rec.dusty} is a {c}-channel pair; the network takes {channels} channels")
         if w < patch or h < patch:
             raise ValidationError(f"patch {patch} larger than image {w}x{h} ({rec.clean})")
         pairs.append((clean, dusty))
@@ -185,7 +187,7 @@ def train(
     if not manifest.records:
         raise ValidationError("manifest is empty; nothing to train on")
     t0 = time.monotonic()
-    pairs = _load_pairs(manifest, cfg.patch)
+    pairs = _load_pairs(manifest, cfg.patch, net.in_channels)
     params = dict(sorted(init_weights(net, mix64(cfg.seed, _INIT_SALT), head_zero=True).items()))
     opt = AdamW(params, cfg.lr)
     steps = math.ceil(len(pairs) * cfg.patches_per_image / cfg.batch)

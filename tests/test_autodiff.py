@@ -64,20 +64,20 @@ def T(shape, scale=1.0, lo=None, hi=None):
 
 class TestPrimitives:
     def test_conv2d_stride1(self):
-        check_op(lambda x, w, b: ad.conv2d(x, w, b, 1, 1), [T((2, 3, 6, 5)), T((4, 3, 3, 3), 0.5), T((4,), 0.1)])
+        check_op(lambda x, w, b: ad.conv2d(x, w, b), [T((2, 3, 6, 5)), T((4, 3, 3, 3), 0.5), T((4,), 0.1)])
 
     def test_conv2d_stride2(self):
-        check_op(lambda x, w, b: ad.conv2d(x, w, b, 2, 1), [T((2, 3, 6, 6)), T((4, 3, 3, 3), 0.5), T((4,), 0.1)])
+        check_op(lambda x, w, b: ad.conv2d(x, w, b, 2), [T((2, 3, 6, 6)), T((4, 3, 3, 3), 0.5), T((4,), 0.1)])
 
     def test_conv2d_1x1(self):
-        check_op(lambda x, w, b: ad.conv2d(x, w, b, 1, 0), [T((2, 5, 4, 4)), T((3, 5, 1, 1), 0.5), T((3,), 0.1)])
+        check_op(lambda x, w, b: ad.conv2d(x, w, b), [T((2, 5, 4, 4)), T((3, 5, 1, 1), 0.5), T((3,), 0.1)])
 
     def test_conv2d_channel_mismatch(self):
         with pytest.raises(ValidationError):
-            ad.conv2d(T((1, 3, 4, 4)), T((2, 4, 3, 3)), T((2,)), 1, 1)
+            ad.conv2d(T((1, 3, 4, 4)), T((2, 4, 3, 3)), T((2,)))
 
     def test_dwconv2d(self):
-        check_op(lambda x, w, b: ad.dwconv2d(x, w, b, 1), [T((2, 3, 5, 6)), T((3, 3, 3), 0.5), T((3,), 0.1)])
+        check_op(lambda x, w, b: ad.dwconv2d(x, w, b), [T((2, 3, 5, 6)), T((3, 3, 3), 0.5), T((3,), 0.1)])
 
     def test_sigmoid(self):
         check_op(lambda x: ad.sigmoid(x), [T((3, 4))])
@@ -97,7 +97,7 @@ class TestPrimitives:
         check_op(lambda x: ad.spatial_mean(x), [T((2, 3, 4, 5))])
 
     def test_concat(self):
-        check_op(lambda a, b: ad.concat([a, b], 1), [T((2, 2, 3, 3)), T((2, 4, 3, 3))])
+        check_op(lambda a, b: ad.concat([a, b]), [T((2, 2, 3, 3)), T((2, 4, 3, 3))])
 
     def test_mul_broadcast_channel_gate(self):
         check_op(lambda x, g: ad.mul(x, g), [T((2, 3, 4, 4)), T((2, 3, 1, 1))])
@@ -147,8 +147,9 @@ class TestConvGoldens:
         ],
     )
     def test_output_and_gradient_digests(self, kernel, stride, pad, want):
+        assert pad == kernel // 2  # the padding conv2d applies
         x, w, b = dyadic((2, 4, 8, 8), 1), dyadic((4, 4, kernel, kernel), 2), dyadic((4,), 3)
-        y = ad.conv2d(x, w, b, stride, pad)
+        y = ad.conv2d(x, w, b, stride)
         probe = Tensor(dyadic(y.data.shape, 4).data)  # y.size is a power of two, so 1/n is exact
         ad.mean_all(ad.mul(y, probe)).backward()
         got = [hashlib.sha256(a.tobytes()).hexdigest() for a in (y.data, x.grad, w.grad, b.grad)]
@@ -187,7 +188,7 @@ class TestMoreConvGoldens:
     def test_dwconv2d(self, shape, want):
         c = shape[1]
         x, w, b = dyadic(shape, 1), dyadic((c, 3, 3), 2), dyadic((c,), 3)
-        assert probed_digests(ad.dwconv2d(x, w, b, 1), x, w, b) == want
+        assert probed_digests(ad.dwconv2d(x, w, b), x, w, b) == want
 
     @pytest.mark.parametrize(
         "stride, want",
@@ -208,7 +209,7 @@ class TestMoreConvGoldens:
     )
     def test_conv2d_non_square(self, stride, want):
         x, w, b = dyadic((2, 3, 7, 5), 1), dyadic((4, 3, 3, 3), 2), dyadic((4,), 3)
-        assert probed_digests(ad.conv2d(x, w, b, stride, 1), x, w, b) == want
+        assert probed_digests(ad.conv2d(x, w, b, stride), x, w, b) == want
 
 
 def naive_conv(x, w, b, g, stride, pad, depthwise):
@@ -240,9 +241,9 @@ def naive_conv(x, w, b, g, stride, pad, depthwise):
 def conv_cases(draw, depthwise):
     k = draw(st.sampled_from([3] if depthwise else [1, 3]))
     stride = 1 if depthwise else draw(st.sampled_from([1, 2]))
-    pad = draw(st.sampled_from([0, 1]))
-    h = draw(st.integers(max(1, k - 2 * pad), 9))
-    wd = draw(st.integers(max(1, k - 2 * pad), 9).filter(lambda v: v != h))
+    pad = k // 2  # the padding conv2d and dwconv2d apply
+    h = draw(st.integers(1, 9))
+    wd = draw(st.integers(1, 9).filter(lambda v: v != h))
     bs, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     o = c if depthwise else draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -257,7 +258,7 @@ class TestConvAgainstNaiveLoop:
         r = np.random.default_rng(seed)
         wshape = (o, k, k) if depthwise else (o, shape[1], k, k)
         x, w, b = (Tensor(r.standard_normal(s), requires_grad=True) for s in (shape, wshape, (o,)))
-        y = ad.dwconv2d(x, w, b, pad) if depthwise else ad.conv2d(x, w, b, stride, pad)
+        y = ad.dwconv2d(x, w, b) if depthwise else ad.conv2d(x, w, b, stride)
         g = r.standard_normal(y.data.shape)
         x.grad, w.grad, b.grad = y._backward(g)
         want = naive_conv(x.data, w.data, b.data, g, stride, pad, depthwise)
@@ -330,20 +331,22 @@ class TestBackward:
         assert float(x.grad) == 5.0
 
     @pytest.mark.parametrize("op,want_a,want_b", [
-        (ad.add, [[2.0, 4.0]], [[1.0, 2.0]]),
-        (ad.sub, [[2.0, 4.0]], [[-1.0, -2.0]]),
-        (lambda a, b: ad.concat([a, b], axis=0), [[1.5, 3.0]], [[0.5, 1.0]]),
+        (ad.add, [2.0, 4.0], [1.0, 2.0]),
+        (ad.sub, [2.0, 4.0], [-1.0, -2.0]),
+        (lambda a, b: ad.concat([a, b]), [1.5, 3.0], [0.5, 1.0]),
     ])
     def test_no_two_tensors_share_a_gradient_buffer(self, op, want_a, want_b):
         # add, sub and concat hand on their output gradient or views of it; a
         # also reaches the root past op(a, b), so a shared buffer would take
-        # a's second gradient into b's or into op's output gradient
-        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+        # a's second gradient into b's or into op's output gradient.  The
+        # leaves are one-channel (1, 1, 1, 2) images; concat joins channels.
+        a = Tensor(np.array([1.0, 2.0]).reshape(1, 1, 1, 2), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]).reshape(1, 1, 1, 2), requires_grad=True)
         joined = op(a, b)
         y = ad.add(joined, a)
-        ad.mean_all(ad.mul(y, Tensor(np.array([[2.0, 4.0]])))).backward()
-        assert np.array_equal(a.grad, want_a) and np.array_equal(b.grad, want_b)
+        ad.mean_all(ad.mul(y, Tensor(np.array([2.0, 4.0]).reshape(1, 1, 1, 2)))).backward()
+        assert a.grad.shape == b.grad.shape == (1, 1, 1, 2)
+        assert np.array_equal(a.grad.ravel(), want_a) and np.array_equal(b.grad.ravel(), want_b)
         # the interior gradients are released by backward, so the values above
         # are what would show a buffer shared along the way; the leaves' own
         # buffers must still be apart
@@ -372,7 +375,7 @@ class TestBackward:
 
     def test_no_node_when_no_input_requires_grad(self):
         x, w, dw, b = (Tensor(rng.standard_normal(s)) for s in ((1, 2, 4, 4), (2, 2, 3, 3), (2, 3, 3), (2,)))
-        h = ad.conv2d(x, w, b, pad=1)
+        h = ad.conv2d(x, w, b)
         outs = [h, ad.dwconv2d(h, dw, b), ad.relu(h), ad.sigmoid(h), ad.clamp01(h), ad.absval(h),
                 ad.mean_all(h), ad.add(h, x), ad.sub(h, x), ad.mul(h, x), ad.concat([h, x]),
                 ad.upsample2x(h), ad.spatial_mean(h), loss_l1(h, x)]

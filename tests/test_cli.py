@@ -412,6 +412,42 @@ def test_train_report_path_a_directory_exits_2_before_training(synth_pairs, tmp_
     assert not (tmp_path / "w.mdw").exists()
 
 
+def test_train_rejects_a_pair_of_another_channel_count_before_training(synth_pairs, tmp_path, capsys):
+    # a gray pair among RGB ones used to fail only when a batch stacked both
+    _, manifest = synth_pairs
+    m = DatasetManifest.load(manifest)
+    gray = {}
+    for role in ("clean", "dusty"):
+        gray[role] = str(tmp_path / f"gray_{role}.png")
+        save_image(Image(load_image(getattr(m.records[0], role)).data[:, :, :1]), gray[role], 8)
+    m.records.append(replace(m.records[0], **gray))
+    m.save(manifest)
+    weights = tmp_path / "w.mdw"
+    argv = ["train", "--manifest", str(manifest), "--patch", "16", "--batch", "8",
+            "--epochs", "1", "--width", "4", "--out", str(weights)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {gray['dusty']} is a 1-channel pair; the network takes 3 channels"]
+    assert not weights.exists() and not (tmp_path / "w.report.json").exists()
+
+
+def test_eval_skips_a_frame_too_small_to_score(workspace, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "big.png").write_bytes((workspace / "clean" / "c0.png").read_bytes())
+    save_image(make_clean_image(5, 5, 5), frames / "tiny.png", 8)
+    report = tmp_path / "r.json"
+    assert run(["eval", "--sets", f"dusty={frames}", "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["skipped"] == [{"path": str(frames / "tiny.png"), "reason": "image 5x5 smaller than tile 8"}]
+    assert [row["path"] for row in payload["rows"]] == [str(frames / "big.png")]
+    (frames / "big.png").unlink()
+    capsys.readouterr()
+    assert run(["eval", "--sets", f"dusty={frames}", "--out", str(tmp_path / "none.json")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: set 'dusty' has no image left to score"
+    assert not (tmp_path / "none.json").exists()
+
+
 def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
     """estimate-phi -> synth -> train (tiny) -> remove (known) -> eval.
 

@@ -328,3 +328,30 @@ class TestCorpusReport:
         assert [row["path"] for row in report.rows] == [str(d_dusty / "same.png")]
         assert "psnr" in report.rows[0] and report.sets[0]["n"] == 1
         assert [rec.getMessage() for rec in caplog.records] == [f"skipping {d_dusty / 'wide.png'}: {reason}"]
+
+    def test_images_too_small_to_score_skipped_with_reason(self, tmp_path, caplog):
+        from marsdust.degrade import DatasetManifest, PairRecord
+
+        d_clean, d_dusty = tmp_path / "clean", tmp_path / "dusty"
+        d_clean.mkdir()
+        d_dusty.mkdir()
+        for name, side in {"big": 32, "narrow": 10, "tiny": 5}.items():
+            save_image(make_clean_image(62, side, side), d_clean / f"{name}.png", 8)
+            save_image(make_clean_image(63, side, side), d_dusty / f"{name}.png", 8)
+        manifest = DatasetManifest(
+            [PairRecord(str(d_clean / f"{name}.png"), str(d_dusty / f"{name}.png"),
+                        64.0, 2, 2.0, 0.5, 0.4, (1.0, 1.0, 1.0), 0) for name in ("big", "narrow")]
+        )
+        with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
+            report = corpus_report({"dusty": d_dusty}, pairs=manifest)
+        # narrow fills a dust-index tile but not the SSIM window; tiny is unpaired
+        want = [{"path": str(d_dusty / "narrow.png"), "reason": "image 10x10 smaller than the 11px SSIM window"},
+                {"path": str(d_dusty / "tiny.png"), "reason": "image 5x5 smaller than tile 8"}]
+        assert report.skipped == want
+        assert [row["path"] for row in report.rows] == [str(d_dusty / "big.png")]
+        assert [rec.getMessage() for rec in caplog.records] == [f"skipping {w['path']}: {w['reason']}" for w in want]
+        only_tiny = tmp_path / "only_tiny"
+        only_tiny.mkdir()
+        (only_tiny / "tiny.png").write_bytes((d_dusty / "tiny.png").read_bytes())
+        with pytest.raises(ValidationError, match="'small' has no image left to score"):
+            corpus_report({"small": only_tiny})

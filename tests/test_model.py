@@ -111,6 +111,19 @@ class TestForwardSemantics:
                 g = internals[key].data
                 assert g.min() > 0.0 and g.max() < 1.0
 
+    def test_internals_hold_every_convolution_in_forward_order(self):
+        # pre.<name> is layer name's output before its ReLU or logistic, for
+        # every weight of param_shapes, the gate outputs ca2 and pa2 included
+        cfg = MINIATURE
+        params = build_params(init_weights(cfg, seed=8, head_zero=False), cfg, dtype=np.float64)
+        internals = {}
+        graph_forward(params, cfg, Tensor(np.full((1, cfg.in_channels, 8, 8), 0.5)), internals=internals)
+        shapes = param_shapes(cfg)
+        convs = [name[:-2] for name in shapes if name.endswith(".w")]
+        assert [key[4:] for key in internals if key.startswith("pre.")] == convs
+        for name in convs:
+            assert internals[f"pre.{name}"].data.shape[1] == shapes[f"{name}.b"][0]
+
     def test_output_always_in_unit_interval(self):
         cfg = MINIATURE
         weights = init_weights(cfg, seed=6, head_zero=False)

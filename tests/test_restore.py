@@ -3,6 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marsdust.degrade import (
     AtmosphericLight,
@@ -15,6 +17,7 @@ from marsdust.metrics import dust_index
 from marsdust.noise import NoiseField, perlin2d, sample_params
 from marsdust.raster import Image, load_image
 from marsdust.restore import (
+    T_FLOOR,
     estimate_transmission,
     invert_degradation,
     load_model,
@@ -39,18 +42,24 @@ class TestInvert:
         out = invert_degradation(H, NoiseField(np.full((1, 1), 0.5)), AtmosphericLight((0.6,)))
         assert abs(out.data[0, 0, 0] - 0.8) < 1e-12
 
-    def test_roundtrip_property(self):
-        # invert(synthesize(C)) == C wherever T clears the floor
-        rng = np.random.default_rng(1)
-        for trial in range(10):
-            C = Image(rng.random((24, 24, 3)))
-            params = sample_params(mix64(31, trial))
-            field = perlin2d(params, 24, 24)
-            tmap = make_transmission(field, 0.9)  # min T = 0.1 > T_FLOOR
-            light = AtmosphericLight(tuple(rng.uniform(0.3, 1.0, 3)))
-            H = synthesize_dusty(C, tmap, light)
-            back = invert_degradation(H, tmap, light)
-            assert np.abs(back.data - C.data).max() < 1e-6
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        channels=st.sampled_from([1, 3]),
+        light=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=3, max_size=3),
+        t_low=st.floats(T_FLOOR, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_property(self, channels, light, t_low, seed):
+        # invert(synthesize(C)) == C for every T in [T_FLOOR, 1], T_FLOOR itself
+        # included, any per-channel light in (0, 1] and 1 or 3 channels
+        rng = np.random.default_rng(seed)
+        C = Image(rng.random((12, 12, channels)))
+        t = rng.uniform(t_low, 1.0, (12, 12))
+        t[0, 0], t[-1, -1] = T_FLOOR, 1.0
+        tmap = NoiseField(t)
+        L = AtmosphericLight(tuple(light[:channels]))
+        back = invert_degradation(synthesize_dusty(C, tmap, L), tmap, L)
+        assert np.abs(back.data - C.data).max() < 1e-6
 
     def test_output_clamped_for_arbitrary_inputs(self):
         rng = np.random.default_rng(2)
@@ -88,10 +97,21 @@ class TestEstimateTransmission:
         t2 = estimate_transmission(H, light, omega=0.95)
         assert np.all(t2.values <= t1.values + 1e-15)
 
-    def test_range(self):
-        H = make_clean_image(61, 32, 32)
-        tmap = estimate_transmission(H, AtmosphericLight((0.9, 0.7, 0.55)))
-        assert tmap.values.min() >= 0.05 and tmap.values.max() <= 1.0
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        channels=st.sampled_from([1, 3]),
+        light=st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3),
+        window=st.integers(0, 8).map(lambda k: 2 * k + 1),
+        omega=st.floats(0.0, 1.0, exclude_min=True),
+        size=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_range(self, channels, light, window, omega, size, seed):
+        rng = np.random.default_rng(seed)
+        H = Image(rng.random(size + (channels,)))
+        tmap = estimate_transmission(H, AtmosphericLight(tuple(light[:channels])), window, omega)
+        assert tmap.values.shape == size
+        assert tmap.values.min() >= T_FLOOR and tmap.values.max() <= 1.0
 
     def test_zero_light_rejected(self):
         H = Image(np.full((4, 4, 1), 0.5))
