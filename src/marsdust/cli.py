@@ -190,7 +190,9 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig(
         patch=args.patch, batch=args.batch, lr=args.lr, epochs=args.epochs, seed=args.seed
     )
-    net = NetConfig(base_width=args.width)
+    # the first pair sets the channel count (3 for an empty manifest, which train refuses)
+    channels = [load_image(rec.clean).channels for rec in manifest.records[:1]]
+    net = NetConfig(*channels, base_width=args.width)
     report = train(cfg, net, manifest, args.out)
     print(
         f"wrote {args.out}: first-epoch loss {report.epoch_losses[0]:.5f}, "

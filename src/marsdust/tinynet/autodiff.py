@@ -162,8 +162,9 @@ def spatial_mean(x: Tensor) -> Tensor:
 
 
 def _tap_product(wk: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
-    """``wk @ xs`` per group; a broadcast multiply when the matrices are 1x1,
-    which numpy's matmul computes several times more slowly."""
+    """``wk @ xs`` per group, broadcast over the images; a broadcast multiply
+    when the matrices are 1x1, which numpy's matmul computes several times
+    more slowly."""
     if wk.shape[-2:] == (1, 1):
         return np.multiply(wk, xs, out=out)
     return np.matmul(wk, xs, out=out)
@@ -172,63 +173,84 @@ def _tap_product(wk: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
 def _conv(x, w, b, wg: np.ndarray, groups: int, stride: int, op: str) -> Tensor:
     """Grouped convolution, ``wg`` = w.data as (O, C/G, kh, kw): output group g
     sees only input group g.  x is zero-padded by kh // 2 on every side (the
-    "same" size for odd kernels at stride 1), split into stride x stride
-    phases (padded rows a::s, columns e::s) and copied into channel-major
-    phase planes (s*s, C, B*hq*wq + slack), no im2col.  Output pixel
-    (b, y, x) is column q = (b*hq + y)*wq + x, and tap (i, j) reads column
-    q + (i//s)*wq + j//s of phase (i%s, j%s), so each tap is one GEMM with a
-    contiguous slice, forward and backward.  Columns outside the output grid
-    hold garbage that is never read."""
+    "same" size for odd kernels at stride 1) and split into stride x stride
+    phases (padded rows a::s, columns e::s).  Each phase is one flat buffer
+    holding the B*C padded (hq, wq) planes end to end in x's own (B, C)
+    order, plus slack, filled from one strided slice of x; no im2col and no
+    transpose.  Output pixel (y, x) of an image is column q = y*wq + x of its
+    plane, and tap (i, j) reads column q + (i//s)*wq + j//s of phase
+    (i%s, j%s), so each tap is one contiguous slice of the buffer: one GEMM
+    per image, forward and backward.  A pixel of the output grid never reads
+    past its own plane; the columns outside that grid hold garbage that is
+    never read.  A 1x1 kernel at stride 1 has one phase, no padding and no
+    garbage, so its buffer is x itself."""
     o, cg, kh, kw = wg.shape
     bs, c, h, wd = x.data.shape
     if cg * groups != c:
         raise ValidationError(f"{op} channel mismatch: input {c}, weight expects {cg * groups}")
     s, pad = stride, kh // 2
     hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
-    size = bs * hq * wq
-    valid = np.s_[: (h + 2 * pad - kh) // s + 1, : (wd + 2 * pad - kw) // s + 1]
+    oh, ow = (h + 2 * pad - kh) // s + 1, (wd + 2 * pad - kw) // s + 1
+    n = hq * wq
+    size = bs * c * n
+    pointwise = kh == kw == s == 1
 
     def taps(buf):
         for i in range(kh):
             for j in range(kw):
                 off = i // s * wq + j // s
-                yield i, j, buf[i % s * s + j % s, ..., off : off + size]
+                yield i, j, buf[i % s * s + j % s, off : off + size].reshape(bs, groups, cg, n)
 
-    def phases(buf):  # the (s, s, C, B, hq, wq) view of a phase-plane buffer
-        return buf[..., :size].reshape(s, s, c, bs, hq, wq)
+    def phases(buf):  # per phase (a, e): its (B, C, hq, wq) plane, and x's rows and columns in it
+        for a in range(s):
+            for e in range(s):
+                r0, c0 = (a - pad) % s, (e - pad) % s  # x's first row and column in this phase
+                y0, x0 = (r0 + pad) // s, (c0 + pad) // s
+                at = np.s_[:, :, y0 : y0 + len(range(r0, h, s)), x0 : x0 + len(range(c0, wd, s))]
+                yield buf[a * s + e, :size].reshape(bs, c, hq, wq)[at], np.s_[:, :, r0::s, c0::s]
 
-    def grid(buf):  # the (B, O, oh, ow) view of the output columns of (G, O/G, size)
-        return buf.reshape(o, bs, hq, wq)[(slice(None), slice(None)) + valid].transpose(1, 0, 2, 3)
+    def grid(buf):  # the (B, O, oh, ow) output pixels of a (B, G, O/G, n) buffer
+        return buf.reshape(bs, o, hq, wq)[:, :, :oh, :ow]
 
-    xp = np.zeros((c, bs, s * hq, s * wq), dtype=x.data.dtype)
-    xp[:, :, pad : pad + h, pad : pad + wd] = x.data.transpose(1, 0, 2, 3)
-    xf = np.zeros((s * s, groups, cg, size + (kh - 1) // s * wq + (kw - 1) // s), dtype=xp.dtype)
-    phases(xf)[...] = xp.reshape(c, bs, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
-    del xp  # the padded copy is not needed past this point; free it before the GEMMs
+    if pointwise:
+        xf = x.data.reshape(1, size)
+    else:
+        xf = np.zeros((s * s, size + (kh - 1) // s * wq + (kw - 1) // s), dtype=x.data.dtype)
+        for plane, at in phases(xf):
+            plane[...] = x.data[at]
     wt = wg.reshape(groups, o // groups, cg, kh, kw).transpose(3, 4, 0, 1, 2).copy()
-    yf = np.zeros((groups, o // groups, size), dtype=np.result_type(x.data, wg))
-    tmp = np.empty_like(yf)
+    yf = tmp = None  # (B, G, O/G, n)
     for i, j, xs in taps(xf):
-        yf += _tap_product(wt[i, j], xs, out=tmp)
-    y = np.add(grid(yf), b.data.reshape(1, o, 1, 1), out=np.empty(grid(yf).shape, yf.dtype))
+        if yf is None:
+            yf = _tap_product(wt[i, j], xs)
+        else:  # the later taps share one product buffer
+            tmp = _tap_product(wt[i, j], xs, out=tmp)
+            yf += tmp
+    y = grid(yf) + b.data.reshape(1, o, 1, 1)
 
     def bw(g):
-        gf = np.zeros((groups, o // groups, size), y.dtype)  # by shape, so the closure holds no yf
-        grid(gf)[...] = g  # garbage columns get no gradient
+        if pointwise:
+            gf = g.reshape(bs, groups, o // groups, n)
+        else:
+            gf = np.zeros((bs, groups, o // groups, n), y.dtype)  # by shape, so the closure holds no yf
+            grid(gf)[...] = g  # garbage columns get no gradient
         dx = dw = db = None
         if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         if w.requires_grad:
             dw = np.empty_like(wt)
             for i, j, xs in taps(xf):
-                np.matmul(gf, xs.swapaxes(1, 2), out=dw[i, j])
+                dw[i, j] = np.matmul(gf, xs.swapaxes(-1, -2)).sum(axis=0)  # summed in image order
             dw = dw.transpose(2, 3, 4, 0, 1).reshape(w.data.shape)
-        if x.requires_grad:
+        if x.requires_grad and pointwise:
+            dx = _tap_product(wt[0, 0].swapaxes(-1, -2), gf).reshape(x.data.shape)
+        elif x.requires_grad:
             dxf = np.zeros_like(xf)
             for i, j, dxs in taps(dxf):
-                dxs += _tap_product(wt[i, j].swapaxes(1, 2), gf)
-            dxp = phases(dxf).transpose(2, 3, 4, 0, 5, 1).reshape(c, bs, s * hq, s * wq)
-            dx = dxp[:, :, pad : pad + h, pad : pad + wd].transpose(1, 0, 2, 3)
+                dxs += _tap_product(wt[i, j].swapaxes(-1, -2), gf)
+            dx = np.empty(x.data.shape, dxf.dtype)
+            for plane, at in phases(dxf):
+                dx[at] = plane
         return dx, dw, db
 
     return _node(y, (x, w, b), bw)

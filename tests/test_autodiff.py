@@ -212,6 +212,25 @@ class TestMoreConvGoldens:
         assert probed_digests(ad.conv2d(x, w, b, stride), x, w, b) == want
 
 
+class TestConvDtype:
+    """float32 in, float32 out: a buffer made at numpy's default float64
+    would double a convolution's memory and time without failing any digest."""
+
+    @pytest.mark.parametrize("kernel, stride, depthwise", [
+        (1, 1, False), (1, 2, False), (3, 1, False), (3, 2, False), (3, 1, True),
+    ])
+    def test_float32_output_and_gradients(self, kernel, stride, depthwise):
+        x = dyadic((2, 4, 7, 6), 1)
+        if depthwise:
+            w, b = dyadic((4, 3, 3), 2), dyadic((4,), 3)
+            y = ad.dwconv2d(x, w, b)
+        else:
+            w, b = dyadic((5, 4, kernel, kernel), 2), dyadic((5,), 3)
+            y = ad.conv2d(x, w, b, stride)
+        grads = y._backward(dyadic(y.data.shape, 4).data)
+        assert [a.dtype for a in (y.data, *grads)] == [np.float32] * 4
+
+
 def naive_conv(x, w, b, g, stride, pad, depthwise):
     """Output and x/w/b gradients for output gradient ``g``, one output pixel
     at a time, in float64.  Depthwise weights are (C, k, k)."""

@@ -14,7 +14,7 @@ from marsdust import cli, pngio
 from marsdust.cli import run
 from marsdust.degrade import DatasetManifest, PairRecord
 from marsdust.raster import Image, load_image, save_image
-from marsdust.tinynet import NetConfig, init_weights, save_weights
+from marsdust.tinynet import NetConfig, init_weights, load_weights, save_weights
 
 from conftest import make_clean_image, make_dust_patches
 from test_pngio import encode_png, terrain_samples
@@ -429,6 +429,25 @@ def test_train_rejects_a_pair_of_another_channel_count_before_training(synth_pai
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {gray['dusty']} is a 1-channel pair; the network takes 3 channels"]
     assert not weights.exists() and not (tmp_path / "w.report.json").exists()
+
+
+def test_train_on_a_gray_manifest_then_restore_gray_frames(tmp_path):
+    clean, dusty, restored = (tmp_path / name for name in ("clean", "dusty", "restored"))
+    clean.mkdir()
+    for i in range(2):
+        save_image(Image(make_clean_image(60 + i, 32, 32).data[:, :, :1]), clean / f"g{i}.png", 8)
+    (tmp_path / "phi.json").write_text('{"phi": [0.7]}')
+    manifest, weights = tmp_path / "gm.jsonl", tmp_path / "w.mdw"
+    assert run(["synth", "--clean", str(clean), "--phi", str(tmp_path / "phi.json"), "--maps", "1",
+                "--out", str(dusty), "--manifest", str(manifest), "--seed", "4"]) == 0
+    assert run(["train", "--manifest", str(manifest), "--patch", "16", "--batch", "2",
+                "--epochs", "1", "--width", "4", "--out", str(weights)]) == 0
+    assert load_weights(weights)["stem.w"].shape == (4, 1, 3, 3)
+    assert run(["remove", "--in", str(dusty), "--method", "learned", "--weights", str(weights),
+                "--out", str(restored)]) == 0
+    frames = sorted(restored.glob("*.png"))
+    assert [p.name for p in frames] == ["g0_d00.png", "g1_d00.png"]
+    assert all(load_image(p).data.shape == (32, 32, 1) for p in frames)
 
 
 def test_eval_skips_a_frame_too_small_to_score(workspace, tmp_path, capsys):

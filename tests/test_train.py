@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from marsdust.degrade import DatasetManifest, estimate_reflexivity, generate_pairs
 from marsdust.errors import ValidationError
 from marsdust.raster import save_image
-from marsdust.tinynet import AdamW, NetConfig, TrainConfig, train
+from marsdust.tinynet import AdamW, NetConfig, TrainConfig, init_weights, train
 from marsdust.tinynet.train import WEIGHT_DECAY
 
 from conftest import make_clean_image, make_dust_patches
@@ -190,3 +191,24 @@ class TestTraining:
         cfg = TrainConfig(patch=64, batch=2, epochs=1)  # images are 40x40
         with pytest.raises(ValidationError, match="larger than image"):
             train(cfg, TINY_NET, tiny_manifest, tmp_path / "x.mdw")
+
+
+class TestShardMemory:
+    # Bound from tracemalloc on numpy 2.4 / Python 3.11: this step peaks at
+    # 25.43 MiB with batch-major phase planes and 1x1 convolutions that read
+    # their input in place, and at 29.74 MiB with channel-major planes that
+    # copied every input, 1x1 included.
+    PEAK_MIB = 27.5
+
+    def test_one_shard_step_peak(self):
+        net = NetConfig(base_width=8)
+        params = dict(sorted(init_weights(net, 5, head_zero=False).items()))
+        r = np.random.default_rng(0)
+        x, y = (r.uniform(0.1, 0.9, (4, 3, 64, 64)).astype(np.float32) for _ in range(2))
+        tracemalloc.start()
+        try:
+            train_module._shard_step(params, net, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= self.PEAK_MIB, peak / 2**20
