@@ -6,22 +6,22 @@ weights files.  Training math runs in float32; weights are float32 on disk.
 
 The weights are one dict of float32 arrays from init to save.  Each batch
 is cut into ``SHARDS`` fixed shards, with BLAS on one thread: the caller
-runs the first while one worker runs the second, and their gradients are
-summed in shard order into the dict AdamW steps on.  The shards fix every
-reduction order, so the weights are the same at any core count, BLAS
-thread count and worker kind.
+runs the first while a worker process, spawned once and reused by every
+``train`` call, runs the second; their gradients are summed in shard order
+into the dict AdamW steps on.  The shards fix every reduction order, so
+the weights are the same at any core count and BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 import multiprocessing
 import os
-import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -30,7 +30,7 @@ import numpy as np
 from ..atomic import write_atomic
 from ..blas import blas_name, one_blas_thread
 from ..degrade import DatasetManifest
-from ..errors import ValidationError
+from ..errors import MarsdustError, ValidationError
 from ..raster import load_image
 from ..rng import mix64
 from . import autodiff as ad
@@ -165,13 +165,17 @@ def _shard_step(params: dict[str, np.ndarray], net: NetConfig, x: np.ndarray, y:
     return float(loss.data), {name: t.grad for name, t in own.items()}
 
 
+def _worker_step(*args):
+    with one_blas_thread():
+        return _shard_step(*args)
+
+
+@functools.cache
 def _shard_pool():
-    """The worker for shard 1: a process on Linux, forked at the first submit,
-    since the interpreter lock holds two threads to about 1.3 cores; a thread
-    where fork is missing (Windows) or unsafe (macOS system frameworks)."""
-    if sys.platform.startswith("linux"):
-        return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
-    return ThreadPoolExecutor(max_workers=1)
+    """The worker for shard 1: one spawned process, started at the first
+    submit and kept for later ``train`` calls until interpreter exit, since
+    the interpreter lock holds two threads to about 1.3 cores."""
+    return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"))
 
 
 def report_path(out_path) -> Path:
@@ -195,18 +199,22 @@ def train(
     shares = [cut / cfg.batch, (cfg.batch - cut) / cfg.batch]
 
     report = TrainReport(train_config=asdict(cfg), net_config=asdict(net))
-    with one_blas_thread() as previous, _shard_pool() as pool:
+    with one_blas_thread() as previous:
         report.host = {"cpu_count": os.cpu_count(), "numpy": np.__version__, "blas": blas_name(),
-                       "blas_threads": None if previous is None else 1,
-                       "shard_worker": "thread" if isinstance(pool, ThreadPoolExecutor) else "process"}
+                       "blas_threads": None if previous is None else 1}
         for epoch in range(cfg.epochs):
             t_epoch = time.monotonic()
             rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, epoch)))
             losses, norms = [], []
             for _ in range(steps):
                 x, y = _draw_batch(pairs, cfg, rng)
-                rest = [pool.submit(_shard_step, params, net, x[cut:], y[cut:])] if cut < cfg.batch else []
-                results = [_shard_step(params, net, x[:cut], y[:cut])] + [f.result() for f in rest]
+                try:
+                    rest = ([_shard_pool().submit(_worker_step, params, net, x[cut:], y[cut:])]
+                            if cut < cfg.batch else [])
+                    results = [_shard_step(params, net, x[:cut], y[:cut])] + [f.result() for f in rest]
+                except BrokenExecutor:
+                    _shard_pool.cache_clear()  # the next call starts a fresh worker
+                    raise MarsdustError("the training worker process died") from None
                 # batch means: each shard's mean weighted by its share, summed in shard order
                 grads = {n: sum(share * g[n] for share, (_, g) in zip(shares, results)) for n in params}
                 # global L2 norm of the batch gradient, summed in parameter-name order

@@ -500,10 +500,9 @@ def test_full_pipeline_with_exact_inversion(workspace, tmp_path, capsys):
     assert train_report["samples_per_s"] == pytest.approx(
         [steps * 2 / s for s in train_report["epoch_seconds"]])
     host = train_report["host"]
-    assert list(host) == ["cpu_count", "numpy", "blas", "blas_threads", "shard_worker"]
+    assert list(host) == ["cpu_count", "numpy", "blas", "blas_threads"]
     assert host["cpu_count"] == os.cpu_count() and host["numpy"] == np.__version__
     assert isinstance(host["blas"], str) and host["blas_threads"] in (1, None)
-    assert host["shard_worker"] in ("process", "thread")
     assert run([
         "remove", "--in", str(dusty), "--method", "analytic-known",
         "--manifest", str(manifest), "--out", str(restored),

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from marsdust.degrade import (
     ALPHA_SET,
@@ -22,7 +24,7 @@ from marsdust.degrade import (
     synthesize_dusty,
 )
 from marsdust.errors import EstimationError, ManifestError, ValidationError
-from marsdust.noise import NoiseField
+from marsdust.noise import MAX_OCTAVES, NoiseField
 from marsdust.pngio import read_png
 from marsdust.raster import Image, load_image
 
@@ -347,7 +349,35 @@ class TestGoldens:
         assert h.hexdigest() == "bcbc611efccf907bcdf0dd458620785a96fde3dce3280c8668a5a05b8ed14bdd"
 
 
+def _unit_interval(exclude_min: bool):
+    return st.floats(0.0, 1.0, exclude_min=exclude_min)
+
+
+# Paths of any text, rich in the quotes, backslashes, newlines and U+2028
+# that JSON escapes; records over the field domains synth can write.
+_paths = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\u2028')), max_size=12)
+_records = st.builds(
+    PairRecord,
+    clean=_paths,
+    dusty=_paths,
+    scale=st.floats(0.0, 1e300, exclude_min=True),
+    octaves=st.integers(1, MAX_OCTAVES),
+    lacunarity=st.floats(1.0, 1e6, exclude_min=True),
+    persistence=_unit_interval(exclude_min=True),
+    alpha=_unit_interval(exclude_min=True),
+    light=st.lists(_unit_interval(exclude_min=False), min_size=1, max_size=3).map(tuple),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
 class TestManifest:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(_records, max_size=4))
+    def test_save_then_load_returns_equal_records(self, tmp_path, records):
+        DatasetManifest(records).save(tmp_path / "m.jsonl")
+        assert DatasetManifest.load(tmp_path / "m.jsonl").records == records
+
     def test_is_number_takes_what_a_float_holds(self):
         largest = 2**1024 - 2**970 - 1  # float() rounds it to the largest finite float
         assert all(map(is_number, [0, -3, 1.5, float("inf"), largest, -largest]))

@@ -1,15 +1,21 @@
+import ctypes
+import hashlib
 import importlib
 import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import marsdust
+from marsdust.cli import run
 from marsdust.degrade import DatasetManifest, estimate_reflexivity, generate_pairs
 from marsdust.errors import ValidationError
 from marsdust.raster import save_image
@@ -21,7 +27,49 @@ from conftest import make_clean_image, make_dust_patches
 TINY_NET = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=2, growth=4)
 # the package re-exports the function train, which hides its module
 train_module = importlib.import_module("marsdust.tinynet.train")
-LINUX_ONLY = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="shard 1 runs in a thread off Linux")
+
+# sha256 of the .mdw that test_weights_at_batch_3_and_4_are_the_recorded_bytes
+# trains, recorded while shard 1 still ran in a forked process.  Float32 sums
+# round per numpy build and OpenBLAS kernel, so they hold on RECORDED_HOST only.
+RECORDED_HOST = ("2.4.6", "SkylakeX")
+RECORDED_SHA256 = {
+    3: "e8acbe09457b90cd6002506ad99c90a54645e054a3590b61bf9f377e0ae4d04f",
+    4: "abb63c8c63aba1aaafa09da903333fbe05e21f4d8c727af041fe86ddde4b572c",
+}
+
+
+def _openblas_core():
+    """The name of the kernel numpy's OpenBLAS picked on this CPU, or None."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def _fails_in_worker(*args):
+    # module level, so the spawned worker can import it by name
+    raise ValidationError("failed in the worker")
+
+
+def _worker_pid() -> int:
+    return train_module._shard_pool().submit(os.getpid).result(timeout=60)
+
+
+# One train call in a fresh Python, which then prints its worker's pid.
+_TRAIN_AND_PRINT_WORKER_PID = """
+import os, sys
+from marsdust.degrade import DatasetManifest
+from marsdust.tinynet import NetConfig, TrainConfig, train
+from marsdust.tinynet.train import _shard_pool
+
+cfg = TrainConfig(patch=32, batch=2, epochs=1, patches_per_image=1)
+train(cfg, NetConfig(base_width=4), DatasetManifest.load(sys.argv[1]), sys.argv[2])
+print(_shard_pool().submit(os.getpid).result(timeout=60))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -117,40 +165,74 @@ class TestTraining:
         train(cfg, TINY_NET, tiny_manifest, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("batch", [3, 4])
-    def test_thread_worker_writes_the_bytes_of_the_default(self, tiny_manifest, tmp_path, monkeypatch, batch):
-        cfg = TrainConfig(patch=32, batch=batch, lr=1e-3, epochs=2, seed=3, patches_per_image=2)
-        train(cfg, TINY_NET, tiny_manifest, tmp_path / "default.mdw")
-        monkeypatch.setattr(train_module, "_shard_pool", lambda: ThreadPoolExecutor(max_workers=1))
-        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "thread.mdw")
-        assert report.host["shard_worker"] == "thread"
-        assert (tmp_path / "thread.mdw").read_bytes() == (tmp_path / "default.mdw").read_bytes()
+    def test_weights_at_batch_3_and_4_are_the_recorded_bytes(self, tiny_manifest, tmp_path):
+        # batch 3 cuts uneven shards (2 on the caller, 1 on the worker)
+        host = (np.__version__, _openblas_core())
+        if host != RECORDED_HOST:
+            pytest.skip(f"digests recorded on numpy {RECORDED_HOST[0]} with OpenBLAS kernel "
+                        f"{RECORDED_HOST[1]}; this host has {host}")
+        for batch, want in RECORDED_SHA256.items():
+            cfg = TrainConfig(patch=32, batch=batch, lr=1e-3, epochs=2, seed=3, patches_per_image=2)
+            train(cfg, TINY_NET, tiny_manifest, tmp_path / f"b{batch}.mdw")
+            assert hashlib.sha256((tmp_path / f"b{batch}.mdw").read_bytes()).hexdigest() == want, batch
 
-    @LINUX_ONLY
-    def test_shard_worker_is_a_process_that_ends_with_train(self, tiny_manifest, tmp_path):
+    def test_two_train_calls_in_one_process_use_one_worker(self, tiny_manifest, tmp_path):
         cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
-        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
-        assert report.host["shard_worker"] == "process"
-        assert json.loads((tmp_path / "w.report.json").read_text())["host"]["shard_worker"] == "process"
-        assert multiprocessing.active_children() == []
+        report = train(cfg, TINY_NET, tiny_manifest, tmp_path / "a.mdw")
+        first = _worker_pid()
+        train(cfg, TINY_NET, tiny_manifest, tmp_path / "b.mdw")
+        assert _worker_pid() == first != os.getpid()
+        assert [p.pid for p in multiprocessing.active_children()] == [first]
+        assert list(report.host) == ["cpu_count", "numpy", "blas", "blas_threads"]
 
-    @LINUX_ONLY
-    def test_failing_worker_raises_its_error_and_leaves_no_process(self, tiny_manifest, tmp_path, monkeypatch):
-        parent = os.getpid()
-        forward = train_module.graph_forward
-
-        def fails_in_worker(*args):
-            if os.getpid() != parent:
-                raise ValidationError("failed in the worker")
-            return forward(*args)
-
-        # the worker is forked after this patch, so it runs the patched forward
-        monkeypatch.setattr(train_module, "graph_forward", fails_in_worker)
+    def test_failing_worker_raises_its_error_and_writes_no_weights(self, tiny_manifest, tmp_path, monkeypatch):
+        monkeypatch.setattr(train_module, "_worker_step", _fails_in_worker)
         cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
         with pytest.raises(ValidationError, match="failed in the worker"):
             train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
         assert not (tmp_path / "w.mdw").exists()
-        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "w.report.json").exists()
+
+    def test_dead_worker_is_one_error_line_and_the_next_call_starts_a_fresh_one(
+        self, tiny_manifest, tmp_path, monkeypatch, capsys
+    ):
+        tiny_manifest.save(tmp_path / "m.jsonl")
+        argv = ["train", "--manifest", str(tmp_path / "m.jsonl"), "--patch", "32", "--batch", "2",
+                "--epochs", "1", "--width", "4", "--seed", "3", "--out"]
+        assert run(argv + [str(tmp_path / "undisturbed.mdw")]) == 0
+        draw, steps, killed = train_module._draw_batch, [], []
+
+        def kills_worker_at_step_2(*args):
+            steps.append(args)
+            if len(steps) == 2:
+                worker = multiprocessing.active_children()[0]
+                worker.kill()
+                killed.append(worker.pid)
+            return draw(*args)
+
+        monkeypatch.setattr(train_module, "_draw_batch", kills_worker_at_step_2)
+        capsys.readouterr()
+        assert run(argv + [str(tmp_path / "killed.mdw")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and "worker process died" in err
+        assert not (tmp_path / "killed.mdw").exists() and not (tmp_path / "killed.report.json").exists()
+        monkeypatch.undo()
+        assert run(argv + [str(tmp_path / "next.mdw")]) == 0
+        assert (tmp_path / "next.mdw").read_bytes() == (tmp_path / "undisturbed.mdw").read_bytes()
+        assert len(killed) == 1 and _worker_pid() != killed[0]
+
+    def test_worker_ends_with_the_python_that_started_it(self, tiny_manifest, tmp_path):
+        tiny_manifest.save(tmp_path / "m.jsonl")
+        src = str(Path(marsdust.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _TRAIN_AND_PRINT_WORKER_PID, str(tmp_path / "m.jsonl"),
+                               str(tmp_path / "w.mdw")], env=env, capture_output=True, text=True, timeout=300,
+                              check=True)
+        assert (tmp_path / "w.mdw").is_file()
+        # the worker is joined at interpreter exit, not left running
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(done.stdout), 0)
 
     def test_batch_of_one_is_one_shard(self, tiny_manifest, tmp_path, monkeypatch):
         class NoSubmit(ThreadPoolExecutor):

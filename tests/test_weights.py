@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from marsdust.errors import WeightsFormatError
 from marsdust.rng import splitmix64_at
@@ -27,7 +30,27 @@ def deterministic_weights() -> dict[str, np.ndarray]:
     return tensors
 
 
+# float32 tensors with any bit pattern, NaN payloads included, and float64
+# tensors within float32's range, which save casts to float32.
+_tensors = st.one_of(
+    arrays(np.float32, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)),
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+           elements=st.floats(-3e38, 3e38)),
+)
+
+
 class TestRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(weights=st.dictionaries(st.text(max_size=10), _tensors, max_size=4))
+    def test_save_then_load_keeps_names_order_shapes_and_float32_bytes(self, tmp_path, weights):
+        save_weights(weights, tmp_path / "w.mdw")
+        back = load_weights(tmp_path / "w.mdw")
+        assert list(back) == list(weights)
+        for name, arr in weights.items():
+            assert back[name].dtype == np.float32 and back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.astype(np.float32).tobytes()
+
     def test_bit_identical(self, tmp_path):
         w = sample_weights()
         path = tmp_path / "w.mdw"
