@@ -28,7 +28,7 @@ TINY_NET = NetConfig(base_width=4, ddsc_modules=1, ddsc_layers=2, growth=4)
 # the package re-exports the function train, which hides its module
 train_module = importlib.import_module("marsdust.tinynet.train")
 
-# sha256 of the .mdw that test_weights_at_batch_3_and_4_are_the_recorded_bytes
+# sha256 of the .mdw that test_weights_at_batch_are_the_recorded_bytes
 # trains, recorded while shard 1 still ran in a forked process.  Float32 sums
 # round per numpy build and OpenBLAS kernel, so they hold on RECORDED_HOST only.
 RECORDED_HOST = ("2.4.6", "SkylakeX")
@@ -165,16 +165,16 @@ class TestTraining:
         train(cfg, TINY_NET, tiny_manifest, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_weights_at_batch_3_and_4_are_the_recorded_bytes(self, tiny_manifest, tmp_path):
+    @pytest.mark.parametrize("batch", sorted(RECORDED_SHA256))
+    def test_weights_at_batch_are_the_recorded_bytes(self, tiny_manifest, tmp_path, batch):
         # batch 3 cuts uneven shards (2 on the caller, 1 on the worker)
         host = (np.__version__, _openblas_core())
         if host != RECORDED_HOST:
             pytest.skip(f"digests recorded on numpy {RECORDED_HOST[0]} with OpenBLAS kernel "
                         f"{RECORDED_HOST[1]}; this host has {host}")
-        for batch, want in RECORDED_SHA256.items():
-            cfg = TrainConfig(patch=32, batch=batch, lr=1e-3, epochs=2, seed=3, patches_per_image=2)
-            train(cfg, TINY_NET, tiny_manifest, tmp_path / f"b{batch}.mdw")
-            assert hashlib.sha256((tmp_path / f"b{batch}.mdw").read_bytes()).hexdigest() == want, batch
+        cfg = TrainConfig(patch=32, batch=batch, lr=1e-3, epochs=2, seed=3, patches_per_image=2)
+        train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
+        assert hashlib.sha256((tmp_path / "w.mdw").read_bytes()).hexdigest() == RECORDED_SHA256[batch]
 
     def test_two_train_calls_in_one_process_use_one_worker(self, tiny_manifest, tmp_path):
         cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
