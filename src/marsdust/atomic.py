@@ -9,6 +9,7 @@ fsynced.
 
 from __future__ import annotations
 
+import errno
 import os
 import uuid
 from pathlib import Path
@@ -31,3 +32,14 @@ def write_atomic(path, parts) -> None:
             raise
     except OSError as exc:  # name the target, not the temporary file
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def check_file_output(path, what: str) -> None:
+    """Raise the OSError that writing ``path`` would end with, so it ends no
+    run after its work: the path is a directory, or its parent is not one.
+    ``what`` names the path in the message."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, f"{what} is a directory", str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, f"the directory of {what} does not exist", str(path))

@@ -2,20 +2,19 @@
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.  Inputs are
 never mutated; outputs land only under the --out / --manifest paths.
-Verbosity comes from MARSDUST_LOG (error|warn|info|debug) or --verbose.
+The log level comes from MARSDUST_LOG (error|warn|info|debug; default warn).
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .atomic import write_atomic
+from .atomic import check_file_output, write_atomic
 from .blas import map_in_order
 from .degrade import (
     DatasetManifest,
@@ -34,7 +33,7 @@ from .errors import (
 from .metrics import corpus_report
 from .raster import list_pngs, load_image, save_image
 from .restore import load_model, remove_estimated, remove_known, remove_learned
-from .tinynet import NetConfig, TrainConfig, report_path, train
+from .tinynet import NetConfig, TrainConfig, train
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +65,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
         if jobs:
             p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("estimate-phi", help="estimate dust reflexivity from heavy-dust patches")
     p.add_argument("--patches", required=True, help="directory of patch PNGs, or a JSON list of paths")
@@ -109,10 +107,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _setup_logging(verbose: bool):
-    env = os.environ.get("MARSDUST_LOG", "").lower()
-    level = _LOG_LEVELS.get(env, logging.DEBUG if verbose else logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _setup_logging():
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")  # a no-op once root has a handler
+    level = _LOG_LEVELS.get(os.environ.get("MARSDUST_LOG", "").lower(), logging.WARNING)
+    logging.getLogger("marsdust").setLevel(level)  # on every run, so each run has its own level
 
 
 def _read_json(path, what: str):
@@ -258,16 +256,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _check_file_output(text: str, flag: str) -> None:
-    """Raise the OSError that writing ``text`` would end with, so it ends no
-    run after its work: the path is a directory, or its parent is not one."""
-    path = Path(text)
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, f"{flag} is a directory", text)
-    if not path.parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, f"the directory of {flag} does not exist", text)
-
-
 def _report(exc: Exception, path: str = "") -> int:
     """Print one ``error:`` (exit 1) or ``i/o error:`` (exit 2) line for
     ``exc``, naming ``path`` unless the message already does; return the code."""
@@ -280,14 +268,12 @@ def _report(exc: Exception, path: str = "") -> int:
 def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _setup_logging(args.verbose)
+        _setup_logging()
         for flag in ("out", "manifest", "phi", "pairs", "weights"):  # checked before any work is done
             if getattr(args, flag, None) is not None:
                 _nonblank(getattr(args, flag), f"--{flag}", "path")
         if args.output:
-            _check_file_output(getattr(args, args.output), f"--{args.output}")
-        if args.command == "train":  # its report, written after the weights
-            _check_file_output(str(report_path(args.out)), "the report of --out")
+            check_file_output(getattr(args, args.output), f"--{args.output}")
         return args.handler(args)
     except (MarsdustError, OSError) as exc:
         return _report(exc)

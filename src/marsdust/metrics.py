@@ -206,13 +206,13 @@ class CorpusReport:
 def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
     """Per-set dust-index statistics, plus PSNR/SSIM where a pairing is known.
 
-    ``sets`` maps label -> directory.  When a manifest is given, images
-    whose filename matches a manifest dusty entry are scored against their
-    clean counterpart.  Unreadable images, images too small to score (under
-    one dust-index tile, or under the SSIM window when paired), and scored
-    images whose clean reference is unreadable or of another width, height
-    or channel count, are skipped with a warning and listed with the reason
-    in ``report.skipped``.
+    ``sets`` maps label -> directory.  With a manifest, images whose filename
+    matches a manifest dusty entry are scored against their clean counterpart,
+    except in a set labelled ``clean``.  Unreadable images, images too small
+    to score (under one dust-index tile, or under the SSIM window when paired),
+    and scored images whose clean reference is unreadable or of another width,
+    height or channel count, are skipped: each logs one warning, ``skipping
+    <path>: <reason>``, and is listed with that reason in ``report.skipped``.
     Images are scored on ``jobs`` threads; rows keep input order.
     """
     records = pairs.by_dusty_name() if pairs is not None else {}
@@ -220,29 +220,22 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
     def score_one(label, path):
         try:
             img = load_image(path)
-        except DecodeError as exc:
-            logger.warning("skipping unreadable image %s: %s", path, exc)
+            rec = records.get(path.name) if label != "clean" else None
+            if rec is not None:
+                try:
+                    ref = load_image(rec.clean)
+                except DecodeError as exc:
+                    raise DecodeError(f"clean reference {rec.clean}: {exc}") from exc
+                if ref.data.shape != img.data.shape:
+                    dims = [f"{im.width}x{im.height}x{im.channels}" for im in (ref, img)]
+                    raise ValidationError(f"clean reference {rec.clean} is {dims[0]}, image is {dims[1]}")
+            row = {"set": label, "path": str(path), "dust_index": dust_index(img)}
+            if rec is not None:
+                row.update(psnr=psnr(ref, img), ssim=ssim(ref, img))
+            return row
+        except (DecodeError, ValidationError) as exc:
+            logger.warning("skipping %s: %s", path, exc)
             return {"path": str(path), "reason": str(exc)}
-        rec = records.get(path.name) if label != "clean" else None
-        try:
-            ref = None if rec is None else load_image(rec.clean)
-        except DecodeError as exc:
-            logger.warning("skipping %s: unreadable clean reference %s: %s", path, rec.clean, exc)
-            return {"path": str(path), "reason": f"clean reference {rec.clean}: {exc}"}
-        if ref is not None and ref.data.shape != img.data.shape:
-            dims = [f"{im.width}x{im.height}x{im.channels}" for im in (ref, img)]
-            reason = f"clean reference {rec.clean} is {dims[0]}, image is {dims[1]}"
-        else:
-            try:
-                row = {"set": label, "path": str(path), "dust_index": dust_index(img)}
-                if ref is not None:
-                    row["psnr"] = psnr(ref, img)
-                    row["ssim"] = ssim(ref, img)
-                return row
-            except ValidationError as exc:  # smaller than a dust-index tile or the SSIM window
-                reason = str(exc)
-        logger.warning("skipping %s: %s", path, reason)
-        return {"path": str(path), "reason": reason}
 
     report = CorpusReport()
     for label, directory in sets.items():

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..atomic import write_atomic
+from ..atomic import check_file_output, write_atomic
 from ..blas import blas_name, one_blas_thread
 from ..degrade import DatasetManifest
 from ..errors import MarsdustError, ValidationError
@@ -190,6 +190,8 @@ def train(
     (``report_path(out_path)``)."""
     if not manifest.records:
         raise ValidationError("manifest is empty; nothing to train on")
+    check_file_output(out_path, "the weights file")  # both outputs, before any pair loads
+    check_file_output(report_path(out_path), "the training report")
     t0 = time.monotonic()
     pairs = _load_pairs(manifest, cfg.patch, net.in_channels)
     params = dict(sorted(init_weights(net, mix64(cfg.seed, _INIT_SALT), head_zero=True).items()))

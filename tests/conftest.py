@@ -5,7 +5,8 @@ so that estimation heuristics have realistic dark structure to work with.
 The corpus, the trained model and the full-network gradient check are
 session-scoped: each runs once and is reused by every test that needs it.
 ``png_blob`` assembles hand-built PNG files without going through
-``marsdust.pngio``.
+``marsdust.pngio``.  Hypothesis runs without its explain phase, which
+re-runs a failing example hundreds of times to annotate its traceback.
 """
 
 import struct
@@ -14,6 +15,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from marsdust.degrade import estimate_reflexivity, generate_pairs
 from marsdust.noise import PerlinParams, perlin2d
@@ -22,6 +24,10 @@ from marsdust.rng import mix64
 from marsdust.tinynet import NetConfig, TrainConfig, train
 
 from gradcheck import MINIATURE, build_conditioned_net, fd_full_gradient_check
+
+# a failing property reports in seconds; each test's @settings keep their own fields
+settings.register_profile("marsdust", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("marsdust")
 
 
 def make_clean_image(seed: int, width: int = 128, height: int = 128) -> Image:

@@ -18,6 +18,7 @@ from marsdust.tinynet import NetConfig, init_weights, load_weights, save_weights
 
 from conftest import make_clean_image, make_dust_patches
 from test_pngio import encode_png, terrain_samples
+from test_train import train_module
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +46,46 @@ def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
 
 
-def test_failure_is_one_stderr_line_in_a_shell(tmp_path):
-    # a real process: pytest's log capture would hide a second, logged copy
+def test_verbose_is_a_usage_error(capsys):
+    assert run(["eval", "--sets", "a=x", "--out", "r.json", "--verbose"]) == 1
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
+def _child_env() -> dict:
+    """This environment without MARSDUST_LOG, importing this checkout's marsdust."""
     src = str(Path(marsdust.__file__).parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "MARSDUST_LOG"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_each_run_in_a_process_takes_its_own_log_level(workspace, tmp_path):
+    # a real process: pytest's log capture replaces the stderr handler
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "good.png").write_bytes((workspace / "clean" / "c0.png").read_bytes())
+    (frames / "bad.png").write_bytes(b"not a png")
+    script = (
+        "import os, sys\n"
+        "from marsdust.cli import run\n"
+        "argv = ['eval', '--sets', 'a=' + sys.argv[1], '--out', sys.argv[2]]\n"
+        "assert run(argv) == 0\n"
+        "print('--', file=sys.stderr)\n"
+        "os.environ['MARSDUST_LOG'] = 'error'\n"
+        "assert run(argv) == 0\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(frames), str(tmp_path / "r.json")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, second = done.stderr.split("--\n")
+    assert second == ""
+    bad = frames / "bad.png"
+    assert first == f"WARNING marsdust.metrics: skipping {bad}: {bad}: not a PNG file (bad signature)\n"
+
+
+def test_failure_is_one_stderr_line_in_a_shell(tmp_path):
+    # a real process: pytest's log capture would hide a second, logged copy
+    env = _child_env()
     done = subprocess.run(
         [sys.executable, "-m", "marsdust.cli", "remove", "--in", str(tmp_path / "absent"),
          "--method", "analytic-est", "--out", str(tmp_path / "out")],
@@ -397,11 +433,11 @@ def test_directory_output_that_is_a_file_exits_2_writing_nothing(workspace, tmp_
 
 
 def test_train_report_path_a_directory_exits_2_before_training(synth_pairs, tmp_path, monkeypatch, capsys):
-    # the report is written after the weights, so it is checked before any epoch
+    # the report is written after the weights, so train checks it before any pair loads
     _, manifest = synth_pairs
     (tmp_path / "w.report.json").mkdir()
     ran = []
-    monkeypatch.setattr(cli, "train", lambda *a, real=cli.train, **k: ran.append(a) or real(*a, **k))
+    monkeypatch.setattr(train_module, "_load_pairs", lambda *a: ran.append(a))
     monkeypatch.chdir(tmp_path)
     argv = ["train", "--manifest", str(manifest), "--patch", "16", "--batch", "2",
             "--epochs", "1", "--width", "4", "--out", "w.mdw"]

@@ -280,11 +280,57 @@ class TestCorpusReport:
         with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
             report = corpus_report({"a": a, "b": b})
         assert [s["n"] for s in report.sets] == [3, 3]
-        assert any("skipping" in rec.message for rec in caplog.records)
         (skip,) = json.loads(report.to_json())["skipped"]
         assert skip["path"] == str(broken)
-        assert skip["reason"]
+        assert skip["reason"] == f"{broken}: truncated IDAT chunk"
         assert report.skipped == [skip]
+        assert [rec.getMessage() for rec in caplog.records] == [f"skipping {broken}: {skip['reason']}"]
+
+    def test_each_skip_kind_logs_one_warning_that_is_its_row(self, tmp_path, caplog):
+        from marsdust.degrade import DatasetManifest, PairRecord
+
+        d_clean, d_dusty = tmp_path / "clean", tmp_path / "dusty"
+        d_clean.mkdir()
+        d_dusty.mkdir()
+        sizes = {"big": (32, 32), "bad_ref": (32, 32), "wide": (40, 32), "narrow": (10, 10), "tiny": (5, 5)}
+        for name, (w, h) in sizes.items():
+            save_image(make_clean_image(64, min(w, 32), h), d_clean / f"{name}.png", 8)
+            save_image(make_clean_image(65, w, h), d_dusty / f"{name}.png", 8)
+        (d_dusty / "bad_image.png").write_bytes(b"not a png")
+        (d_clean / "bad_ref.png").write_bytes((d_clean / "bad_ref.png").read_bytes()[:60])
+        manifest = DatasetManifest(
+            [PairRecord(str(d_clean / f"{name}.png"), str(d_dusty / f"{name}.png"),
+                        64.0, 2, 2.0, 0.5, 0.4, (1.0, 1.0, 1.0), 0) for name in sizes if name != "tiny"]
+        )
+        with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
+            report = corpus_report({"dusty": d_dusty}, pairs=manifest, jobs=2)
+        reasons = {
+            "bad_image": f"{d_dusty / 'bad_image.png'}: not a PNG file (bad signature)",
+            "bad_ref": f"clean reference {d_clean / 'bad_ref.png'}: {d_clean / 'bad_ref.png'}: truncated IDAT chunk",
+            "narrow": "image 10x10 smaller than the 11px SSIM window",
+            "tiny": "image 5x5 smaller than tile 8",
+            "wide": f"clean reference {d_clean / 'wide.png'} is 32x32x3, image is 40x32x3",
+        }
+        assert report.skipped == [{"path": str(d_dusty / f"{n}.png"), "reason": r} for n, r in reasons.items()]
+        assert [row["path"] for row in report.rows] == [str(d_dusty / "big.png")]
+        warnings = sorted(rec.getMessage() for rec in caplog.records)  # two threads log in either order
+        assert warnings == [f"skipping {row['path']}: {row['reason']}" for row in report.skipped]
+        assert {rec.levelno for rec in caplog.records} == {logging.WARNING}
+
+    def test_set_labelled_clean_is_never_paired(self, tmp_path):
+        from marsdust.degrade import DatasetManifest, PairRecord
+
+        d_ref, d_frames = tmp_path / "ref", tmp_path / "frames"
+        d_ref.mkdir()
+        d_frames.mkdir()
+        save_image(make_clean_image(66, 32, 32), d_ref / "i.png", 8)
+        save_image(make_clean_image(67, 32, 32), d_frames / "i.png", 8)
+        manifest = DatasetManifest(
+            [PairRecord(str(d_ref / "i.png"), str(d_frames / "i.png"), 64.0, 2, 2.0, 0.5, 0.4, (1.0, 1.0, 1.0), 0)]
+        )
+        report = corpus_report({"clean": d_frames, "other": d_frames}, pairs=manifest)
+        assert ["psnr" in row for row in report.rows] == [False, True]
+        assert ["psnr_mean" in s for s in report.sets] == [False, True]
 
     def test_infinite_psnr_serialized_distinctly(self, tmp_path):
         from marsdust.degrade import DatasetManifest, PairRecord

@@ -265,6 +265,19 @@ class TestTraining:
         train(TrainConfig(patch=32, batch=2, epochs=1, seed=2, patches_per_image=2), TINY_NET, tiny_manifest, p2)
         assert p1.read_bytes() != p2.read_bytes()
 
+    @pytest.mark.parametrize("taken", ["w.mdw", "w.report.json"])
+    def test_an_output_that_is_a_directory_raises_before_any_pair_loads(
+        self, tiny_manifest, tmp_path, monkeypatch, taken
+    ):
+        (tmp_path / taken).mkdir()
+        loaded = []
+        monkeypatch.setattr(train_module, "_load_pairs", lambda *a: loaded.append(a))
+        cfg = TrainConfig(patch=32, batch=2, lr=1e-3, epochs=1, seed=3, patches_per_image=2)
+        with pytest.raises(IsADirectoryError, match=taken):
+            train(cfg, TINY_NET, tiny_manifest, tmp_path / "w.mdw")
+        assert loaded == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken]
+
     def test_empty_manifest_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="empty"):
             train(TrainConfig(), TINY_NET, DatasetManifest([]), tmp_path / "x.mdw")
