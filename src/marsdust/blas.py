@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-# the logger name this line had when the CLI alone pinned BLAS; log filters use it
-logger = logging.getLogger("marsdust.cli")
+logger = logging.getLogger(__name__)
 
 
 def blas_name() -> str:

@@ -219,8 +219,6 @@ def _cmd_remove(args) -> int:
     else:
         restore = lambda path: remove_estimated(load_image(path))
     paths = list_pngs(in_dir)
-    if not paths:
-        raise ValidationError(f"no PNG images found in {in_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(path: Path):

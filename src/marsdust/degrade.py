@@ -300,8 +300,6 @@ def generate_pairs(
     if maps_per_image < 1:
         raise ValidationError(f"maps_per_image must be >= 1, got {maps_per_image}")
     clean_paths = list_pngs(clean_dir)
-    if not clean_paths:
-        raise ValidationError(f"no PNG images found in {clean_dir}")
     by_stem: dict[str, Path] = {}
     for path in clean_paths:
         if by_stem.setdefault(path.stem, path) is not path:

@@ -212,8 +212,9 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
     to score (under one dust-index tile, or under the SSIM window when paired),
     and scored images whose clean reference is unreadable or of another width,
     height or channel count, are skipped: each logs one warning, ``skipping
-    <path>: <reason>``, and is listed with that reason in ``report.skipped``.
-    Images are scored on ``jobs`` threads; rows keep input order.
+    <path>: <reason>``, and is listed with that reason, which does not name
+    the path again, in ``report.skipped``.  Images are scored on ``jobs``
+    threads; rows keep input order.
     """
     records = pairs.by_dusty_name() if pairs is not None else {}
 
@@ -224,8 +225,8 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
             if rec is not None:
                 try:
                     ref = load_image(rec.clean)
-                except DecodeError as exc:
-                    raise DecodeError(f"clean reference {rec.clean}: {exc}") from exc
+                except DecodeError as exc:  # its message starts with "<rec.clean>: "
+                    raise DecodeError(f"clean reference {exc}") from exc
                 if ref.data.shape != img.data.shape:
                     dims = [f"{im.width}x{im.height}x{im.channels}" for im in (ref, img)]
                     raise ValidationError(f"clean reference {rec.clean} is {dims[0]}, image is {dims[1]}")
@@ -234,15 +235,13 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
                 row.update(psnr=psnr(ref, img), ssim=ssim(ref, img))
             return row
         except (DecodeError, ValidationError) as exc:
-            logger.warning("skipping %s: %s", path, exc)
-            return {"path": str(path), "reason": str(exc)}
+            reason = str(exc).removeprefix(f"{path}: ")  # read_png's messages start with it
+            logger.warning("skipping %s: %s", path, reason)
+            return {"path": str(path), "reason": reason}
 
     report = CorpusReport()
     for label, directory in sets.items():
-        paths = list_pngs(directory)
-        if not paths:
-            raise ValidationError(f"set '{label}' is empty")
-        rows = map_in_order(lambda p: score_one(label, p), paths, jobs)
+        rows = map_in_order(lambda p: score_one(label, p), list_pngs(directory), jobs)
         report.skipped += [row for row in rows if "reason" in row]
         scored = [row for row in rows if "reason" not in row]
         if not scored:

@@ -76,11 +76,12 @@ def read_png(path) -> tuple[np.ndarray, int]:
     Samples are uint8 or uint16 shaped (height, width, channels).  Raises
     DecodeError naming the offending property for anything outside the
     supported subset (8/16-bit gray or RGB, non-interlaced, no alpha).
+    Every DecodeError message starts with ``<path>: ``.
     """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
-        raise DecodeError(f"cannot read {path}: {exc}") from exc
+        raise DecodeError(f"{path}: cannot read ({exc.strerror})") from exc
     if not blob.startswith(_SIGNATURE):
         raise DecodeError(f"{path}: not a PNG file (bad signature)")
 

@@ -59,8 +59,14 @@ class Image:
 
 
 def list_pngs(directory) -> list[Path]:
-    """The PNG files in ``directory`` (suffix matched in any case), sorted."""
-    return sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".png")
+    """The PNG files in ``directory`` (suffix matched in any case), sorted;
+    a directory without one, or a blank name, is a ValidationError."""
+    if not str(directory).strip():  # Path("") would list the working directory
+        raise ValidationError("directory name is blank")
+    paths = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".png")
+    if not paths:
+        raise ValidationError(f"no PNG images found in {directory}")
+    return paths
 
 
 def load_image(path) -> Image:

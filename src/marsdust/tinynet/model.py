@@ -34,19 +34,11 @@ class NetConfig:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    @property
-    def bottleneck_width(self) -> int:
-        return 4 * self.base_width
-
-    @property
-    def attention_width(self) -> int:
-        return max(1, self.bottleneck_width // 8)
-
 
 def param_shapes(cfg: NetConfig) -> dict[str, tuple]:
     """Name -> shape table, in layer order; the single source of truth for the layer layout."""
     cin, b = cfg.in_channels, cfg.base_width
-    f, r = cfg.bottleneck_width, cfg.attention_width
+    f, r = 4 * b, max(1, 4 * b // 8)  # bottleneck and attention widths
     shapes = {}
 
     def conv(name, out_c, in_c, k):

@@ -232,7 +232,6 @@ def train(
             report.loss_quartiles.append(np.percentile(losses, [25, 50, 75]).tolist())
             logger.info("epoch %d/%d: loss %.6f", epoch + 1, cfg.epochs, epoch_loss)
 
-    out_path = Path(out_path)
     save_weights(params, out_path)
     report.seconds = time.monotonic() - t0
     text = json.dumps(asdict(report), indent=2) + "\n"

@@ -153,7 +153,7 @@ def test_no_openblas_runs_the_block_and_logs_the_blas(fake_openblas, monkeypatch
         raise OSError(f"cannot load {path}")
 
     monkeypatch.setattr(ctypes, "CDLL", unloadable)
-    with caplog.at_level(logging.DEBUG, logger="marsdust.cli"):
+    with caplog.at_level(logging.DEBUG, logger="marsdust.blas"):
         with one_blas_thread() as previous:
             assert previous is None
     assert fake_openblas.threads == 4

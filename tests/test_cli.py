@@ -80,7 +80,7 @@ def test_each_run_in_a_process_takes_its_own_log_level(workspace, tmp_path):
     first, second = done.stderr.split("--\n")
     assert second == ""
     bad = frames / "bad.png"
-    assert first == f"WARNING marsdust.metrics: skipping {bad}: {bad}: not a PNG file (bad signature)\n"
+    assert first == f"WARNING marsdust.metrics: skipping {bad}: not a PNG file (bad signature)\n"
 
 
 def test_failure_is_one_stderr_line_in_a_shell(tmp_path):
@@ -348,6 +348,26 @@ def test_empty_directory_argument_exits_1(workspace, tmp_path, monkeypatch, caps
     before = sorted(p.name for p in tmp_path.iterdir())
     assert run(argv) == 1
     assert "names no directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-phi", "--patches", "empty", "--out", "phi.json"],
+    ["synth", "--clean", "empty", "--phi", "phi.json", "--out", "d", "--manifest", "m.jsonl"],
+    ["remove", "--in", "empty", "--method", "analytic-est", "--out", "r"],
+    ["eval", "--sets", "a=clean,b=empty", "--out", "r.json"],
+])
+def test_directory_without_a_png_exits_1_writing_nothing(workspace, tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "clean").mkdir()
+    for png in (workspace / "clean").glob("*.png"):
+        (tmp_path / "clean" / png.name).write_bytes(png.read_bytes())
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "notes.txt").write_text("no images here")
+    (tmp_path / "phi.json").write_text('{"phi": [0.8, 0.6, 0.4]}')
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: no PNG images found in empty\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
@@ -891,7 +911,7 @@ GOLDEN_EVAL_JSON = """{
   "skipped": [
     {
       "path": "<tmp>/dusty/broken.png",
-      "reason": "<tmp>/dusty/broken.png: truncated IDAT chunk"
+      "reason": "truncated IDAT chunk"
     }
   ]
 }

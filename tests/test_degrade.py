@@ -298,6 +298,14 @@ class TestGeneratePairs:
         with pytest.raises(ValidationError, match="no PNG"):
             generate_pairs(empty, phi, out_dir=tmp_path / "out")
 
+    def test_blank_dir_is_not_the_working_directory(self, tmp_path, monkeypatch, small_corpus):
+        _, clean_dir, phi = small_corpus
+        (tmp_path / "c0.png").write_bytes((clean_dir / "c0.png").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="blank"):
+            generate_pairs("", phi, out_dir="out")
+        assert [p.name for p in tmp_path.iterdir()] == ["c0.png"]
+
 
 # (file, scale, octaves, lacunarity, persistence, alpha, light, seed) of
 # generate_pairs(small corpus, maps_per_image=3, seed=21), frozen once

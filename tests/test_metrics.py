@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -282,7 +284,7 @@ class TestCorpusReport:
         assert [s["n"] for s in report.sets] == [3, 3]
         (skip,) = json.loads(report.to_json())["skipped"]
         assert skip["path"] == str(broken)
-        assert skip["reason"] == f"{broken}: truncated IDAT chunk"
+        assert skip["reason"] == "truncated IDAT chunk"
         assert report.skipped == [skip]
         assert [rec.getMessage() for rec in caplog.records] == [f"skipping {broken}: {skip['reason']}"]
 
@@ -292,12 +294,15 @@ class TestCorpusReport:
         d_clean, d_dusty = tmp_path / "clean", tmp_path / "dusty"
         d_clean.mkdir()
         d_dusty.mkdir()
-        sizes = {"big": (32, 32), "bad_ref": (32, 32), "wide": (40, 32), "narrow": (10, 10), "tiny": (5, 5)}
+        sizes = {"big": (32, 32), "bad_ref": (32, 32), "missing_ref": (32, 32), "wide": (40, 32), "narrow": (10, 10),
+                 "tiny": (5, 5)}
         for name, (w, h) in sizes.items():
             save_image(make_clean_image(64, min(w, 32), h), d_clean / f"{name}.png", 8)
             save_image(make_clean_image(65, w, h), d_dusty / f"{name}.png", 8)
         (d_dusty / "bad_image.png").write_bytes(b"not a png")
+        (d_dusty / "dir_image.png").mkdir()  # unreadable whatever the permission bits
         (d_clean / "bad_ref.png").write_bytes((d_clean / "bad_ref.png").read_bytes()[:60])
+        (d_clean / "missing_ref.png").unlink()
         manifest = DatasetManifest(
             [PairRecord(str(d_clean / f"{name}.png"), str(d_dusty / f"{name}.png"),
                         64.0, 2, 2.0, 0.5, 0.4, (1.0, 1.0, 1.0), 0) for name in sizes if name != "tiny"]
@@ -305,13 +310,16 @@ class TestCorpusReport:
         with caplog.at_level(logging.WARNING, logger="marsdust.metrics"):
             report = corpus_report({"dusty": d_dusty}, pairs=manifest, jobs=2)
         reasons = {
-            "bad_image": f"{d_dusty / 'bad_image.png'}: not a PNG file (bad signature)",
-            "bad_ref": f"clean reference {d_clean / 'bad_ref.png'}: {d_clean / 'bad_ref.png'}: truncated IDAT chunk",
+            "bad_image": "not a PNG file (bad signature)",
+            "bad_ref": f"clean reference {d_clean / 'bad_ref.png'}: truncated IDAT chunk",
+            "dir_image": f"cannot read ({os.strerror(errno.EISDIR)})",
+            "missing_ref": f"clean reference {d_clean / 'missing_ref.png'}: cannot read ({os.strerror(errno.ENOENT)})",
             "narrow": "image 10x10 smaller than the 11px SSIM window",
             "tiny": "image 5x5 smaller than tile 8",
             "wide": f"clean reference {d_clean / 'wide.png'} is 32x32x3, image is 40x32x3",
         }
         assert report.skipped == [{"path": str(d_dusty / f"{n}.png"), "reason": r} for n, r in reasons.items()]
+        assert not any(row["path"] in row["reason"] for row in report.skipped)  # each path is named once
         assert [row["path"] for row in report.rows] == [str(d_dusty / "big.png")]
         warnings = sorted(rec.getMessage() for rec in caplog.records)  # two threads log in either order
         assert warnings == [f"skipping {row['path']}: {row['reason']}" for row in report.skipped]

@@ -26,7 +26,7 @@ class TestConfig:
         assert [n for n in param_shapes(cfg) if n.startswith("down")] == [
             "down1.w", "down1.b", "down2.w", "down2.b",
         ]
-        assert cfg.bottleneck_width == 64
+        assert param_shapes(cfg)["down2.w"][0] == 64
 
     def test_counts_validated(self):
         with pytest.raises(ValidationError):
@@ -38,7 +38,7 @@ class TestShapes:
         # layer l of a block consumes module_input + l * growth channels
         cfg = NetConfig(base_width=8, growth=16, ddsc_layers=4)
         shapes = param_shapes(cfg)
-        f = cfg.bottleneck_width
+        f = shapes["down2.w"][0]
         for m in range(cfg.ddsc_modules):
             for l in range(cfg.ddsc_layers):
                 assert shapes[f"ddsc{m}.l{l}.dw.w"] == (f + l * 16, 3, 3)

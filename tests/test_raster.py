@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 import zlib
 
@@ -6,7 +8,7 @@ import pytest
 
 from marsdust.errors import DecodeError, ValidationError
 from marsdust.pngio import write_png
-from marsdust.raster import Image, load_image, save_image
+from marsdust.raster import Image, list_pngs, load_image, save_image
 
 from conftest import png_blob
 
@@ -111,6 +113,15 @@ class TestCodec:
         with pytest.raises(DecodeError):
             load_image(tmp_path / "nope.png")
 
+    @pytest.mark.parametrize("kind, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)])
+    def test_unreadable_file_message_starts_with_its_path(self, tmp_path, kind, code):
+        p = tmp_path / "x.png"
+        if kind == "directory":
+            p.mkdir()
+        with pytest.raises(DecodeError) as info:
+            load_image(p)
+        assert str(info.value) == f"{p}: cannot read ({os.strerror(code)})"
+
     def test_not_a_png(self, tmp_path):
         p = tmp_path / "fake.png"
         p.write_bytes(b"definitely not a png")
@@ -160,3 +171,18 @@ class TestCodec:
         p.write_bytes(png_blob(ihdr, zlib.compress(bytes(raw))))
         img = load_image(p)
         assert np.array_equal(np.round(img.data[:, :, 0] * 255).astype(int), rows)
+
+
+class TestListPngs:
+    def test_directory_without_a_png_rejected_naming_it(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("no images here")
+        with pytest.raises(ValidationError) as info:
+            list_pngs(tmp_path)
+        assert str(info.value) == f"no PNG images found in {tmp_path}"
+
+    @pytest.mark.parametrize("blank", ["", " "])
+    def test_blank_name_is_not_the_working_directory(self, tmp_path, monkeypatch, blank):
+        save_image(random_image(2), tmp_path / "x.png", 8)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="blank"):
+            list_pngs(blank)

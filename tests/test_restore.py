@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from marsdust.degrade import (
     AtmosphericLight,
+    Reflexivity,
     auto_select_dusty_patches,
+    estimate_atmospheric_light,
+    estimate_reflexivity,
     make_transmission,
     synthesize_dusty,
 )
 from marsdust.errors import EstimationError, ValidationError, WeightsFormatError
-from marsdust.metrics import dust_index
+from marsdust.metrics import dust_index, psnr
 from marsdust.noise import NoiseField, perlin2d, sample_params
 from marsdust.raster import Image, load_image
 from marsdust.restore import (
@@ -279,3 +282,45 @@ class TestPickerGoldens:
         assert picked_indices(img, auto_select_dusty_patches(img)) == indices
         out = remove_estimated(img)
         assert hashlib.sha256(out.data.tobytes()).hexdigest() == digest
+
+
+class TestEstimatorConsistency:
+    """Where T -> 0 a dusty pixel tends to the light, whose channel ratios are
+    phi, so phi estimated from the tiles auto_select_dusty_patches picks
+    comes closer to the true phi as alpha grows.  Each 256x256 conftest
+    frame carries one Perlin map, the same at every alpha."""
+
+    PHI = Reflexivity((1.0, 0.80, 0.62))
+    ALPHAS = (0.6, 0.8, 1.0)
+    # The alpha 1.0 bound is the worst max |d phi| of frames 901-906 (0.0435;
+    # medians 0.0765 / 0.0559 / 0.0395 per alpha) plus about 15 %.  It is
+    # checked on frames 911-916, which played no part in choosing it.
+    BOUND_AT_FULL_ALPHA = 0.05
+    SEEDS = range(911, 917)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """(clean, dusty, max |d phi|) per frame, keyed by alpha."""
+        out = {alpha: [] for alpha in self.ALPHAS}
+        for seed in self.SEEDS:
+            clean = make_clean_image(seed, 256, 256)
+            light = estimate_atmospheric_light(clean, self.PHI)
+            field = perlin2d(sample_params(mix64(seed, 0)), 256, 256)
+            for alpha in self.ALPHAS:
+                dusty = synthesize_dusty(clean, make_transmission(field, alpha), light)
+                phi = estimate_reflexivity(auto_select_dusty_patches(dusty)).phi
+                out[alpha].append((clean, dusty, max(abs(a - b) for a, b in zip(phi, self.PHI.phi))))
+        return out
+
+    def test_median_phi_error_shrinks_as_alpha_grows(self, runs):
+        medians = [float(np.median([err for *_, err in runs[alpha]])) for alpha in self.ALPHAS]
+        assert medians[0] > medians[1] > medians[2], medians
+
+    def test_phi_error_bounded_at_full_alpha_on_every_frame(self, runs):
+        errors = [err for *_, err in runs[1.0]]
+        assert max(errors) <= self.BOUND_AT_FULL_ALPHA, errors
+
+    def test_estimated_removal_beats_the_dusty_psnr_on_every_frame(self, runs):
+        for alpha in self.ALPHAS:
+            for clean, dusty, _ in runs[alpha]:
+                assert psnr(clean, remove_estimated(dusty)) > psnr(clean, dusty), alpha
