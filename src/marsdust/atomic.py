@@ -1,8 +1,9 @@
-"""Whole-file output: a reader finds the old file or the new one, never a part.
+"""Whole-file input and output: a reader finds the old file or the new one, never a part.
 
-Every file marsdust writes goes first to a fresh temporary file beside its
-target, which ``os.replace`` then puts in the target's place.  On any failure
-the temporary file is removed and the target is left as it was.  This guards
+Every input file is read whole by ``read_input``, which words a failed open
+one way.  Every output goes first to a fresh temporary file beside its target,
+which ``os.replace`` then puts in the target's place.  On any failure the
+temporary file is removed and the target is left as it was.  This guards
 against a failed or interrupted process, not against power loss: nothing is
 fsynced.
 """
@@ -13,6 +14,15 @@ import errno
 import os
 import uuid
 from pathlib import Path
+
+
+def read_input(path, error) -> bytes:
+    """The bytes of the file ``path``.  A failed open or read raises
+    ``error("<path>: cannot read (<reason>)")``."""
+    try:
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or a name the OS cannot encode
+        raise error(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from exc
 
 
 def write_atomic(path, parts) -> None:

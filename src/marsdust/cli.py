@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .atomic import check_file_output, write_atomic
+from .atomic import check_file_output, read_input, write_atomic
 from .blas import map_in_order
 from .degrade import (
     DatasetManifest,
@@ -116,9 +116,7 @@ def _setup_logging():
 def _read_json(path, what: str):
     """The parsed JSON of a small input file; ``what`` names it in errors."""
     try:
-        return json.loads(Path(path).read_bytes())
-    except OSError as exc:
-        raise DecodeError(f"cannot read {what} {path}: {exc}") from exc
+        return json.loads(read_input(path, DecodeError))
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ValidationError(f"{path}: {what} is not valid JSON ({exc})") from exc
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import read_input, write_atomic
 from .blas import map_in_order
 from .errors import EstimationError, ManifestError, ValidationError
 from .metrics import tile_dust_scores
@@ -245,17 +245,13 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
         records = []
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(read_input(path, ManifestError).splitlines(), 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            except ValueError as exc:  # JSONDecodeError, bytes not UTF-8, or an integer too long to convert
                 raise ManifestError(f"{path}:{lineno}: malformed JSON ({exc})") from exc
             records.append(PairRecord.from_json(obj, f"{path}:{lineno}"))
         return cls(records)

@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import read_input, write_atomic
 from .errors import DecodeError
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -78,10 +77,7 @@ def read_png(path) -> tuple[np.ndarray, int]:
     supported subset (8/16-bit gray or RGB, non-interlaced, no alpha).
     Every DecodeError message starts with ``<path>: ``.
     """
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DecodeError(f"{path}: cannot read ({exc.strerror})") from exc
+    blob = read_input(path, DecodeError)
     if not blob.startswith(_SIGNATURE):
         raise DecodeError(f"{path}: not a PNG file (bad signature)")
 

@@ -81,8 +81,8 @@ def load_model(weights_path):
     path = Path(weights_path)
     try:
         mtime_ns = path.stat().st_mtime_ns
-    except OSError as exc:
-        raise WeightsFormatError(f"cannot read weights file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # the form of atomic.read_input's message
+        raise WeightsFormatError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from exc
     return _load_model(str(path), mtime_ns)
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from ..atomic import write_atomic
+from ..atomic import read_input, write_atomic
 from ..errors import WeightsFormatError
 
 MAGIC = b"MDW1"
@@ -40,10 +39,7 @@ def save_weights(weights: dict[str, np.ndarray], path) -> None:
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise WeightsFormatError(f"cannot read weights file {path}: {exc}") from exc
+    blob = read_input(path, WeightsFormatError)
     pos = 0
 
     def take(n: int, fmt: str, what: str) -> tuple:

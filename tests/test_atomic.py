@@ -1,12 +1,14 @@
 """Outputs appear whole or not at all: a write that fails after its temporary
-file exists keeps the old target and leaves no temporary file behind."""
+file exists keeps the old target and leaves no temporary file behind.  Inputs
+are read whole, and a failed open is one error of the caller's type."""
 
+import errno
 import os
 
 import numpy as np
 import pytest
 
-from marsdust.atomic import write_atomic
+from marsdust.atomic import read_input, write_atomic
 from marsdust.cli import run
 from marsdust.degrade import DatasetManifest, PairRecord, Reflexivity, generate_pairs
 from marsdust.pngio import write_png
@@ -48,6 +50,31 @@ def test_failure_while_writing_keeps_the_target(tmp_path):
     assert len(seen) == 1  # the partial output went to a temporary file
     assert target.read_bytes() == OLD
     assert _temporary_files(tmp_path) == []
+
+
+class Unreadable(Exception):
+    pass
+
+
+def test_read_input_returns_the_bytes(tmp_path):
+    (tmp_path / "in.bin").write_bytes(b"\x00\xffbytes")
+    assert read_input(tmp_path / "in.bin", Unreadable) == b"\x00\xffbytes"
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("absent.bin", os.strerror(errno.ENOENT)),
+    ("a_directory", os.strerror(errno.EISDIR)),
+    ("nul\0.bin", "embedded null byte"),
+    ("\ud800.bin", "surrogates not allowed"),
+], ids=["missing", "directory", "nul-byte", "unencodable"])
+def test_read_input_raises_the_given_type_naming_the_path_once(tmp_path, name, reason):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(Unreadable) as info:
+        read_input(path, Unreadable)
+    message = str(info.value)
+    assert message.startswith(f"{path}: cannot read (") and message.endswith(")")
+    assert reason in message and message.count(str(path)) == 1
 
 
 def test_success_replaces_the_target(tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -16,7 +17,7 @@ from marsdust.degrade import DatasetManifest, PairRecord
 from marsdust.raster import Image, load_image, save_image
 from marsdust.tinynet import NetConfig, init_weights, load_weights, save_weights
 
-from conftest import make_clean_image, make_dust_patches
+from conftest import make_clean_image, make_dust_patches, png_blob
 from test_pngio import encode_png, terrain_samples
 from test_train import train_module
 
@@ -242,7 +243,7 @@ def test_remove_missing_weights_file_exits_2(workspace, tmp_path, capsys):
     code = run(["remove", "--in", str(workspace / "clean"), "--method", "learned",
                 "--weights", str(weights), "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"i/o error: cannot read weights file {weights}")
+    assert capsys.readouterr().err.startswith(f"i/o error: {weights}: cannot read (")
     assert not out.exists()
 
 
@@ -863,6 +864,146 @@ def test_eval_skips_image_whose_clean_reference_is_truncated(workspace, tmp_path
     assert str(broken) in skip["reason"] and "truncated" in skip["reason"]
     assert [s["n"] for s in payload["sets"]] == [2]
     assert victim not in [row["path"] for row in payload["rows"]]
+
+
+@pytest.mark.parametrize("argv, unreadable", [
+    (["estimate-phi", "--patches", "{t}/list.json", "--out", "{t}/phi.json"], "{t}/absent.png"),
+    (["estimate-phi", "--patches", "{t}/absent.json", "--out", "{t}/phi.json"], "{t}/absent.json"),
+    (["synth", "--clean", "{c}", "--phi", "{t}/absent.json", "--out", "{t}/d", "--manifest", "{t}/m.jsonl"],
+     "{t}/absent.json"),
+    (["train", "--manifest", "{t}/absent.jsonl", "--out", "{t}/w.mdw"], "{t}/absent.jsonl"),
+    (["remove", "--in", "{c}", "--method", "learned", "--weights", "{t}/absent.mdw", "--out", "{t}/r"],
+     "{t}/absent.mdw"),
+], ids=["png", "patch-list", "phi", "manifest", "weights"])
+def test_an_unreadable_input_is_named_once(workspace, tmp_path, capsys, argv, unreadable):
+    (tmp_path / "list.json").write_text(json.dumps([str(tmp_path / "absent.png")]))
+    unreadable = unreadable.format(t=tmp_path)
+    assert run([arg.format(t=tmp_path, c=workspace / "clean") for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {unreadable}: cannot read ({os.strerror(errno.ENOENT)})\n"
+    assert err.count(unreadable) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["list.json"]
+
+
+def _clean_path_with_a_nul_byte(manifest: Path, index: int) -> str:
+    """Give the manifest's ``index``-th record the clean path ``c<NUL>.png``; return its dusty path."""
+    m = DatasetManifest.load(manifest)
+    m.records[index] = replace(m.records[index], clean="c\0.png")
+    m.save(manifest)
+    return m.records[index].dusty
+
+
+@pytest.mark.parametrize("index", [0, -1], ids=["first-record", "last-record"])
+def test_train_on_a_nul_path_exits_2_with_one_line(synth_pairs, tmp_path, capsys, index):
+    _, manifest = synth_pairs
+    _clean_path_with_a_nul_byte(manifest, index)
+    weights = tmp_path / "w.mdw"
+    assert run(["train", "--manifest", str(manifest), "--patch", "16", "--epochs", "1", "--out", str(weights)]) == 2
+    assert capsys.readouterr().err == "i/o error: c\0.png: cannot read (embedded null byte)\n"
+    assert not weights.exists()
+
+
+def test_eval_skips_an_image_whose_clean_reference_has_a_nul_byte(synth_pairs, tmp_path):
+    dusty, manifest = synth_pairs
+    victim = _clean_path_with_a_nul_byte(manifest, 1)
+    report_path = tmp_path / "report.json"
+    assert run(["eval", "--sets", f"dusty={dusty}", "--pairs", str(manifest), "--out", str(report_path)]) == 0
+    payload = json.loads(report_path.read_text())
+    reason = "clean reference c\0.png: cannot read (embedded null byte)"
+    assert payload["skipped"] == [{"path": victim, "reason": reason}]
+    assert [s["n"] for s in payload["sets"]] == [2]
+
+
+def test_estimate_phi_on_a_patch_list_naming_a_nul_path_exits_2(workspace, tmp_path, capsys):
+    listing = tmp_path / "list.json"
+    listing.write_text(json.dumps([str(workspace / "patches" / "p0.png"), "p\0.png"]))
+    out = tmp_path / "phi.json"
+    assert run(["estimate-phi", "--patches", str(listing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "i/o error: p\0.png: cannot read (embedded null byte)\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    """Inputs that each reach one error branch of a subcommand: RGB and gray
+    frames, a gray and an RGB patch, phi files, a one-map pair manifest and
+    variants of it, an RGB model and one without ``head.b``, and a PNG whose
+    IDAT is not a zlib stream."""
+    root = tmp_path_factory.mktemp("error_inputs")
+    for name in ("clean", "gray", "mixed", "small", "zlib"):
+        (root / name).mkdir()
+    for i in range(2):
+        save_image(make_clean_image(800 + i, 48, 48), root / "clean" / f"c{i}.png", 8)
+    save_image(Image(make_clean_image(810, 48, 48).data[..., :1]), root / "gray" / "g0.png", 8)
+    save_image(Image(np.full((8, 8, 1), 0.5)), root / "mixed" / "a_gray.png", 8)
+    save_image(Image(np.full((8, 8, 3), 0.5)), root / "mixed" / "b_rgb.png", 8)
+    save_image(make_clean_image(820, 32, 32), root / "small" / "s.png", 8)
+    (root / "zlib" / "z.png").write_bytes(png_blob(struct.pack(">IIBBBBB", 4, 4, 8, 0, 0, 0, 0), b"not zlib"))
+    (root / "phi.json").write_text('{"phi": [0.8, 0.6, 0.4]}')
+    (root / "empty_phi.json").write_text('{"phi": []}')
+    (root / "big_phi.json").write_text('{"phi": [1.5, 0.5, 0.5]}')
+    (root / "empty_list.json").write_text("[]")
+    assert run(["synth", "--clean", str(root / "clean"), "--phi", str(root / "phi.json"), "--maps", "1",
+                "--out", str(root / "dusty"), "--manifest", str(root / "m.jsonl"), "--seed", "3"]) == 0
+    records = DatasetManifest.load(root / "m.jsonl").records
+    DatasetManifest([replace(r, light=(1.5, 0.5, 0.5)) for r in records]).save(root / "big_light.jsonl")
+    DatasetManifest([replace(r, light=(0.5,)) for r in records]).save(root / "one_light.jsonl")
+    DatasetManifest([replace(records[0], dusty=str(root / "small" / "s.png"))]).save(root / "other_size.jsonl")
+    weights = init_weights(NetConfig(base_width=4), seed=1)
+    save_weights(weights, root / "rgb.mdw")
+    del weights["head.b"]
+    save_weights(weights, root / "no_head_b.mdw")
+    return root
+
+
+# {r} is error_inputs, {o} the test's own, empty, output directory
+SYNTH = ["synth", "--clean", "{r}/clean", "--out", "{o}/d", "--manifest", "{o}/m.jsonl"]
+ERROR_BRANCHES = {
+    "synth-maps-0": (SYNTH + ["--phi", "{r}/phi.json", "--maps", "0"], 1,
+                     ["error: maps_per_image must be >= 1, got 0"]),
+    "phi-empty": (SYNTH + ["--phi", "{r}/empty_phi.json"], 1, ["error: reflexivity needs at least one channel"]),
+    "phi-above-1": (SYNTH + ["--phi", "{r}/big_phi.json"], 1,
+                    ["error: reflexivity values must be in (0, 1], got 1.5"]),
+    "estimate-phi-empty-list": (["estimate-phi", "--patches", "{r}/empty_list.json", "--out", "{o}/phi.json"], 1,
+                                ["error: no patches found in {r}/empty_list.json"]),
+    "estimate-phi-gray-and-rgb": (["estimate-phi", "--patches", "{r}/mixed", "--out", "{o}/phi.json"], 1,
+                                  ["error: patches must share a channel count"]),
+    "train-batch-0": (["train", "--manifest", "{r}/m.jsonl", "--batch", "0", "--out", "{o}/w.mdw"], 1,
+                      ["error: batch must be >= 1, got 0"]),
+    "train-epochs-0": (["train", "--manifest", "{r}/m.jsonl", "--epochs", "0", "--out", "{o}/w.mdw"], 1,
+                       ["error: epochs must be >= 1, got 0"]),
+    "train-dusty-of-another-size": (["train", "--manifest", "{r}/other_size.jsonl", "--out", "{o}/w.mdw"], 1,
+                                    ["error: pair shape mismatch for {r}/small/s.png"]),
+    "learned-rgb-model-on-gray": (
+        ["remove", "--in", "{r}/gray", "--method", "learned", "--weights", "{r}/rgb.mdw", "--out", "{o}/r"], 1,
+        ["error: {r}/gray/g0.png: model expects 3 channels, image has 1"]),
+    "learned-without-head-b": (
+        ["remove", "--in", "{r}/clean", "--method", "learned", "--weights", "{r}/no_head_b.mdw",
+         "--out", "{o}/r"], 1,
+        ["error: weights do not match config: missing ['head.b'], unexpected []"]),
+    "known-light-above-1": (
+        ["remove", "--in", "{r}/dusty", "--method", "analytic-known", "--manifest", "{r}/big_light.jsonl",
+         "--out", "{o}/r"], 1,
+        [f"error: {{r}}/dusty/c{i}_d00.png: light values must be in [0, 1], got 1.5" for i in range(2)]),
+    "known-one-light-on-rgb": (
+        ["remove", "--in", "{r}/dusty", "--method", "analytic-known", "--manifest", "{r}/one_light.jsonl",
+         "--out", "{o}/r"], 1,
+        [f"error: {{r}}/dusty/c{i}_d00.png: light has 1 channels, image has 3" for i in range(2)]),
+    # the rest of the line is zlib's own text
+    "idat-not-zlib": (["remove", "--in", "{r}/zlib", "--method", "analytic-est", "--out", "{o}/r"], 2,
+                      ["i/o error: {r}/zlib/z.png: corrupt compressed image data ("]),
+}
+
+
+@pytest.mark.parametrize("argv, code, lines", ERROR_BRANCHES.values(), ids=ERROR_BRANCHES.keys())
+def test_error_branch_is_one_line_per_failed_file(error_inputs, tmp_path, capsys, argv, code, lines):
+    assert run([arg.format(r=error_inputs, o=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == len(lines)
+    for got, want in zip(err.splitlines(), lines):
+        assert got.startswith(want.format(r=error_inputs)), got
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 GOLDEN_EVAL_JSON = """{

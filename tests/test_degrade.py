@@ -505,7 +505,7 @@ class TestManifest:
     def test_bytes_that_are_not_text_rejected(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_bytes(b"\xff\xfe\x00{\n")
-        with pytest.raises(ManifestError, match="cannot read manifest"):
+        with pytest.raises(ManifestError, match="m.jsonl:1: malformed JSON"):
             DatasetManifest.load(p)
 
     def test_shared_dusty_name_rejected(self):

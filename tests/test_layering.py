@@ -27,6 +27,27 @@ def test_no_private_names_imported_across_modules():
     assert reaches == []
 
 
+def _file_reads(tree):
+    """Line numbers of calls to a function or method named ``open``,
+    ``read_bytes`` or ``read_text``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name in {"open", "read_bytes", "read_text"}:
+                yield node.lineno
+
+
+def test_only_atomic_opens_files():
+    # atomic.read_input opens every input file and write_atomic every output
+    opens = [
+        f"{path.relative_to(PACKAGE)}:{lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "atomic.py"
+        for lineno in _file_reads(ast.parse(path.read_text()))
+    ]
+    assert opens == []
+
+
 def _grad_stores(node, in_tensor=False):
     """Line numbers of assignments to an attribute named ``grad`` below
     ``node`` that lie outside ``class Tensor``."""

@@ -269,10 +269,11 @@ class TestCorpusReport:
             assert {"set", "path", "dust_index"} <= set(row)
 
     def test_empty_set_rejected(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        with pytest.raises(ValidationError, match="empty"):
-            corpus_report({"clean": empty})
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        with pytest.raises(ValidationError) as info:
+            corpus_report({"clean": frames})
+        assert str(info.value) == f"no PNG images found in {frames}"
 
     def test_unreadable_rows_skipped_with_count(self, image_dirs, caplog):
         a, b = image_dirs

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -169,3 +171,9 @@ class TestFormatErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(WeightsFormatError, match="cannot read"):
             load_weights(tmp_path / "absent.mdw")
+
+    def test_unreadable_file_is_named_once(self, tmp_path):
+        path = tmp_path / "absent.mdw"
+        with pytest.raises(WeightsFormatError) as info:
+            load_weights(path)
+        assert str(info.value) == f"{path}: cannot read ({os.strerror(errno.ENOENT)})"
