@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,87 @@ def test_field_crop_equals_field_of_crop_size(case):
     params, full_w, full_h, w, h = case
     crop = perlin2d(params, full_w, full_h).values[:h, :w]
     assert perlin2d(params, w, h).values.tobytes() == crop.tobytes()
+
+
+def _reference_field(params: PerlinParams, width: int, height: int) -> np.ndarray:
+    """perlin2d over the whole field at once, with one gradient gather per
+    pixel and corner: corner (ix, iy) reads gx[table[ix & 255] + (iy & 255)],
+    where gx and gy are the 8 directions' components over the doubled
+    permutation.  Same float operations, in the same order, as the module's
+    docstring states."""
+    grads = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1], [1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.float64)
+
+    def fade(t):
+        return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
+
+    def lerp(a, b, w):
+        return (b - a) * w + a
+
+    total = np.zeros((height, width))
+    denom = 0.0
+    for octave in range(params.octaves):
+        amp = params.persistence**octave
+        freq = params.lacunarity**octave / params.scale
+        table = np.asarray(shuffled(list(range(256)), mix64(params.seed, octave)), dtype=np.intp)
+        doubled = np.concatenate([table, table]) & 7
+        gx, gy = grads[doubled, 0], grads[doubled, 1]
+        x = np.arange(width, dtype=np.float64)[None, :] * freq
+        y = np.arange(height, dtype=np.float64)[:, None] * freq
+        ix, iy = np.floor(x).astype(np.intp), np.floor(y).astype(np.intp)
+        fx, fy = x - ix, y - iy
+
+        def corner(cx, cy, dx, dy):
+            i = table[cx & 255] + (cy & 255)
+            return gx[i] * dx + gy[i] * dy
+
+        n00 = corner(ix, iy, fx, fy)
+        n10 = corner(ix + 1, iy, fx - 1.0, fy)
+        n01 = corner(ix, iy + 1, fx, fy - 1.0)
+        n11 = corner(ix + 1, iy + 1, fx - 1.0, fy - 1.0)
+        u, v = fade(fx), fade(fy)
+        total += lerp(lerp(n00, n10, u), lerp(n01, n11, u), v) * amp
+        denom += amp
+    return np.clip(0.5 + 0.5 * (total / denom), 0.0, 1.0)
+
+
+@st.composite
+def _reference_case(draw):
+    # scales on both sides of one pixel per lattice cell, and sizes on either
+    # side of a row-band edge, as in _crop_case
+    band = noise._BAND_PIXELS
+    width = draw(st.sampled_from([1, 2, 127, 128, 129, 1000, band - 1, band, band + 1]))
+    height = draw(st.integers(1, 300 if width <= 129 else 40 if width == 1000 else 3))
+    params = PerlinParams(
+        scale=10 ** draw(st.floats(-2.0, 3.0)),
+        octaves=draw(st.integers(1, 6)),
+        lacunarity=draw(st.floats(1.5, 3.0)),
+        persistence=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return params, width, height
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_reference_case())
+def test_field_equals_the_per_pixel_reference(case):
+    params, width, height = case
+    want = _reference_field(params, width, height)
+    assert perlin2d(params, width, height).values.tobytes() == want.tobytes()
+
+
+def test_fine_scale_field_peaks_below_three_field_sizes():
+    # at scale 0.01 every pixel row has its own lattice rows, a hundred
+    # apart, so tables over a band's contiguous lattice range would not fit
+    params = PerlinParams(0.01, 3, 2.0, 0.5, seed=9)
+    width, height = 2048, 64
+    perlin2d(params, width, height)  # imports and first-use tables outside the trace
+    tracemalloc.start()
+    try:
+        field = perlin2d(params, width, height)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * field.values.nbytes, peak / field.values.nbytes
 
 
 class TestPerlin:

@@ -12,13 +12,14 @@ from marsdust.degrade import (
     auto_select_dusty_patches,
     estimate_atmospheric_light,
     estimate_reflexivity,
+    generate_pairs,
     make_transmission,
     synthesize_dusty,
 )
 from marsdust.errors import EstimationError, ValidationError, WeightsFormatError
 from marsdust.metrics import dust_index, psnr
 from marsdust.noise import NoiseField, perlin2d, sample_params
-from marsdust.raster import Image, load_image
+from marsdust.raster import Image, load_image, save_image
 from marsdust.restore import (
     T_FLOOR,
     estimate_transmission,
@@ -216,6 +217,35 @@ class TestRemoveDust:
         n = len(records)
         for name, count in wins.items():
             assert count >= 0.9 * n, f"{name}: {count}/{n}"
+
+
+class TestKnownReplayDigests:
+    """The float64 arrays behind ``remove --method analytic-known``, for two
+    records of one fixed synth run: the decoded 16-bit dusty PNG and its
+    exact inversion with the record's transmission and light."""
+
+    WANT = {
+        0: ("4dd6159c27bb49645d7a9886c4235de7f4c7d1d56110b6e9306cb028ca97560f",
+            "4ee732a486ecbeb6b9ef6f4a8cda9ea64bc4c46663e9444f7d4e7c83059edc4b"),
+        3: ("6d2f653e12c8d6ccfe75f95cf232c786467b7f542efc2b2cd0f5fdf4ad4d61f0",
+            "31f522b93dc5bbeb748fb2f459cf40974e844a3418dccb04c53dd217e810c022"),
+    }
+
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("known_replay")
+        (root / "clean").mkdir()
+        save_image(make_clean_image(41, 96, 80), root / "clean" / "a.png", 8)
+        save_image(make_clean_image(42, 70, 90), root / "clean" / "b.png", 8)
+        phi = Reflexivity((1.0, 0.80, 0.62))
+        return generate_pairs(root / "clean", phi, root / "dusty", maps_per_image=2, seed=17).records
+
+    @pytest.mark.parametrize("index", sorted(WANT))
+    def test_dusty_decode_and_known_removal_digests(self, records, index):
+        rec = records[index]
+        H = load_image(rec.dusty)
+        got = [hashlib.sha256(a.tobytes()).hexdigest() for a in (H.data, remove_known(H, rec).data)]
+        assert got == list(self.WANT[index])
 
 
 @functools.lru_cache(maxsize=1)
