@@ -73,7 +73,8 @@ def make_transmission(noise: NoiseField, alpha: float) -> NoiseField:
     """T = 1 - alpha * M, elementwise; output lies in [1 - alpha, 1]."""
     if not 0 < alpha <= 1:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
-    return NoiseField(1.0 - alpha * noise.values)
+    t = alpha * noise.values
+    return NoiseField(np.subtract(1.0, t, out=t))
 
 
 def estimate_reflexivity(patches: Sequence[Image]) -> Reflexivity:
@@ -137,7 +138,8 @@ def check_blend_inputs(img: Image, light: AtmosphericLight, tmap: NoiseField | N
 def synthesize_dusty(img: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
     """Blend the clean image toward the atmospheric light, weighted by 1 - T."""
     low = check_blend_inputs(img, light, tmap)
-    out = img.data * tmap.data + low * (1.0 - tmap.data)
+    out = img.data * tmap.data
+    out += low * (1.0 - tmap.data)
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)
 

@@ -10,7 +10,9 @@ table built by rng.shuffled(list(range(256)), mix64(seed, octave)), and
 gradients come from the fixed 8-direction set below indexed by (hash & 7).
 The second hash step is folded into two 512-entry tables over the doubled
 permutation, gx[i] = _GRADS[table[i & 255] & 7, 0] and gy likewise, so corner
-(ix, iy) reads gx[table[ix & 255] + (iy & 255)].
+(ix, iy) reads gx[table[ix & 255] + (iy & 255)], the same in every pixel row of
+lattice row iy: a band gathers gx * dx and gy once per lattice row it touches,
+copies them to its pixel rows, and adds gy * dy per pixel.
 
 Fields are computed in bands of about _BAND_PIXELS pixels (whole rows), each
 summing every octave before the next band starts, so an octave's temporaries
@@ -93,25 +95,27 @@ def _axis_terms(coords: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _octave_terms(params: PerlinParams, octave: int, xs: np.ndarray, ys: np.ndarray):
-    """Everything of one octave that bands share: its folded gradient tables,
-    its column terms and its row terms (as (H, 1) columns)."""
+    """Everything of one octave that bands share: gradient tables, column terms,
+    row terms (lattice row, then (H, 1) columns), and lattice rows' hash offsets."""
     freq = params.lacunarity**octave / params.scale
     table = np.asarray(shuffled(list(range(256)), mix64(params.seed, octave)), dtype=np.intp)
     h = np.concatenate([table, table]) & 7
     xi, xf, xf1, u = _axis_terms(xs * freq)
     yi, yf, yf1, v = _axis_terms(ys * freq)
+    lattice, at = np.unique(yi, return_inverse=True)  # yi ascends, so at does too
     cols = (table[xi & 255], table[(xi + 1) & 255], xf, xf1, u)
-    rows = (yi & 255, (yi + 1) & 255, yf, yf1, v)
-    return _GRADS[h, 0], _GRADS[h, 1], cols, tuple(r[:, None] for r in rows)
+    rows = (at, yf[:, None], yf1[:, None], v[:, None])
+    return _GRADS[h, 0], _GRADS[h, 1], cols, rows, (lattice & 255, (lattice + 1) & 255)
 
 
-def _dot_into(gx, gy, i, dx, dy) -> np.ndarray:
-    """gx[i] * dx + gy[i] * dy in a fresh buffer."""
-    n = gx[i]
-    n *= dx
-    t = gy[i]
-    t *= dy
-    n += t
+def _corner(gx, gy, i, dx, at, dy) -> np.ndarray:
+    """gy[i] * dy + gx[i] * dx in a fresh buffer; row k of the index ``i``
+    is gathered once, then copied to each pixel row whose ``at`` is k."""
+    g = gx.take(i)
+    g *= dx
+    n = gy.take(i).take(at, axis=0)
+    n *= dy
+    n += g.take(at, axis=0)
     return n
 
 
@@ -123,22 +127,20 @@ def _lerp_into(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return b
 
 
-def _raw_octave(gx, gy, cols, rows) -> np.ndarray:
+def _raw_octave(gx, gy, cols, rows, lattice) -> np.ndarray:
     """Single-octave Perlin over one band; zero at integer lattice points.
 
     Works in place on band-sized buffers; each pixel still sees the float
     operations of n00 + u * (n10 - n00) and so on, in the same order.
     """
     px0, px1, xf, xf1, u = cols
-    qy0, qy1, yf, yf1, v = rows
-    i0 = px0 + qy0
-    i1 = px1 + qy0
-    n00 = _dot_into(gx, gy, i0, xf, yf)
-    n10 = _dot_into(gx, gy, i1, xf1, yf)
-    np.add(px0, qy1, out=i0)
-    np.add(px1, qy1, out=i1)
-    n01 = _dot_into(gx, gy, i0, xf, yf1)
-    n11 = _dot_into(gx, gy, i1, xf1, yf1)
+    at, yf, yf1, v = rows
+    q0, q1 = (q[at[0] : at[-1] + 1, None] for q in lattice)  # the lattice rows the band touches
+    at = at - at[0]
+    n00 = _corner(gx, gy, px0 + q0, xf, at, yf)
+    n10 = _corner(gx, gy, px1 + q0, xf1, at, yf)
+    n01 = _corner(gx, gy, px0 + q1, xf, at, yf1)
+    n11 = _corner(gx, gy, px1 + q1, xf1, at, yf1)
     return _lerp_into(_lerp_into(n00, n10, u), _lerp_into(n01, n11, u), v)
 
 
@@ -172,8 +174,8 @@ def perlin2d(params: PerlinParams, width: int, height: int) -> NoiseField:
     for y0 in range(0, height, step):
         band = slice(y0, y0 + step)
         total = np.zeros((min(step, height - y0), width), dtype=np.float64)
-        for amp, gx, gy, cols, rows in octaves:
-            n = _raw_octave(gx, gy, cols, [r[band] for r in rows])
+        for amp, gx, gy, cols, rows, lattice in octaves:
+            n = _raw_octave(gx, gy, cols, [r[band] for r in rows], lattice)
             n *= amp
             total += n
         values[band] = 0.5 + 0.5 * (total / denom)

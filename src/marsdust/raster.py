@@ -72,8 +72,9 @@ def list_pngs(directory) -> list[Path]:
 def load_image(path) -> Image:
     """Load an 8- or 16-bit gray/RGB PNG, scaling samples to [0, 1]."""
     samples, depth = read_png(path)
-    maxval = 255.0 if depth == 8 else 65535.0
-    return Image(samples.astype(np.float64) / maxval)
+    data = samples.astype(np.float64)
+    data /= 255.0 if depth == 8 else 65535.0
+    return Image(data)
 
 
 def save_image(img: Image, path, bit_depth: int = 8) -> None:
@@ -81,6 +82,6 @@ def save_image(img: Image, path, bit_depth: int = 8) -> None:
     if bit_depth not in (8, 16):
         raise ValidationError(f"bit_depth must be 8 or 16, got {bit_depth}")
     maxval = 255 if bit_depth == 8 else 65535
-    q = np.floor(img.data * maxval + 0.5)
-    q = q.astype(np.uint8 if bit_depth == 8 else np.uint16)
-    write_png(path, q, bit_depth)
+    q = img.data * maxval
+    q += 0.5
+    write_png(path, np.floor(q, out=q).astype(np.uint8 if bit_depth == 8 else np.uint16), bit_depth)

@@ -40,7 +40,9 @@ def invert_degradation(H: Image, tmap: NoiseField, light: AtmosphericLight) -> I
     """Invert the forward blend; output clamped to [0, 1]."""
     low = check_blend_inputs(H, light, tmap)
     t = np.maximum(tmap.data, T_FLOOR)
-    out = (H.data - low * (1.0 - t)) / t
+    out = low * (1.0 - t)
+    np.subtract(H.data, out, out=out)
+    out /= t
     np.clip(out, 0.0, 1.0, out=out)
     return Image(out)
 
