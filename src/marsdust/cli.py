@@ -29,6 +29,7 @@ from .errors import (
     MarsdustError,
     ValidationError,
     WeightsFormatError,
+    printable,
 )
 from .metrics import corpus_report
 from .raster import list_pngs, load_image, save_image
@@ -257,7 +258,7 @@ def _report(exc: Exception, path: str = "") -> int:
     ``exc``, naming ``path`` unless the message already does; return the code."""
     code = 2 if isinstance(exc, (OSError, DecodeError, ManifestError, WeightsFormatError)) else 1
     message = f"{path}: {exc}" if path not in str(exc) else str(exc)
-    print(f"{'i/o error' if code == 2 else 'error'}: {message}", file=sys.stderr)
+    print(f"{'i/o error' if code == 2 else 'error'}: {printable(message)}", file=sys.stderr)
     return code
 
 

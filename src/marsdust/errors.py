@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the form of their messages."""
+
+
+def printable(text: str) -> str:
+    """``text`` with each character ``str.isprintable()`` rejects as its Python escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 class MarsdustError(Exception):

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .blas import map_in_order
-from .errors import DecodeError, ValidationError
+from .errors import DecodeError, ValidationError, printable
 from .raster import Image, list_pngs, load_image
 
 logger = logging.getLogger(__name__)
@@ -236,7 +236,7 @@ def corpus_report(sets: dict, pairs=None, jobs: int = 1) -> CorpusReport:
             return row
         except (DecodeError, ValidationError) as exc:
             reason = str(exc).removeprefix(f"{path}: ")  # read_png's messages start with it
-            logger.warning("skipping %s: %s", path, reason)
+            logger.warning("skipping %s", printable(f"{path}: {reason}"))
             return {"path": str(path), "reason": reason}
 
     report = CorpusReport()

@@ -899,7 +899,18 @@ def test_train_on_a_nul_path_exits_2_with_one_line(synth_pairs, tmp_path, capsys
     _clean_path_with_a_nul_byte(manifest, index)
     weights = tmp_path / "w.mdw"
     assert run(["train", "--manifest", str(manifest), "--patch", "16", "--epochs", "1", "--out", str(weights)]) == 2
-    assert capsys.readouterr().err == "i/o error: c\0.png: cannot read (embedded null byte)\n"
+    assert capsys.readouterr().err == "i/o error: c\\x00.png: cannot read (embedded null byte)\n"
+    assert not weights.exists()
+
+
+def test_train_on_a_newline_path_prints_one_line_with_the_newline_escaped(synth_pairs, tmp_path, capsys):
+    _, manifest = synth_pairs
+    m = DatasetManifest.load(manifest)
+    m.records[0] = replace(m.records[0], clean="c\n.png")
+    m.save(manifest)
+    weights = tmp_path / "w.mdw"
+    assert run(["train", "--manifest", str(manifest), "--patch", "16", "--epochs", "1", "--out", str(weights)]) == 2
+    assert capsys.readouterr().err == "i/o error: c\\n.png: cannot read (No such file or directory)\n"
     assert not weights.exists()
 
 
@@ -914,12 +925,25 @@ def test_eval_skips_an_image_whose_clean_reference_has_a_nul_byte(synth_pairs, t
     assert [s["n"] for s in payload["sets"]] == [2]
 
 
+def test_eval_skip_warning_escapes_a_newline_that_the_report_keeps(synth_pairs, tmp_path, caplog):
+    dusty, manifest = synth_pairs
+    m = DatasetManifest.load(manifest)
+    m.records[1] = replace(m.records[1], clean="c\n.png")
+    m.save(manifest)
+    report_path = tmp_path / "report.json"
+    assert run(["eval", "--sets", f"dusty={dusty}", "--pairs", str(manifest), "--out", str(report_path)]) == 0
+    reason = "clean reference c\n.png: cannot read (No such file or directory)"
+    assert json.loads(report_path.read_text())["skipped"] == [{"path": m.records[1].dusty, "reason": reason}]
+    escaped = reason.replace("\n", "\\n")
+    assert [rec.getMessage() for rec in caplog.records] == [f"skipping {m.records[1].dusty}: {escaped}"]
+
+
 def test_estimate_phi_on_a_patch_list_naming_a_nul_path_exits_2(workspace, tmp_path, capsys):
     listing = tmp_path / "list.json"
     listing.write_text(json.dumps([str(workspace / "patches" / "p0.png"), "p\0.png"]))
     out = tmp_path / "phi.json"
     assert run(["estimate-phi", "--patches", str(listing), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "i/o error: p\0.png: cannot read (embedded null byte)\n"
+    assert capsys.readouterr().err == "i/o error: p\\x00.png: cannot read (embedded null byte)\n"
     assert not out.exists()
 
 
