@@ -314,3 +314,25 @@ class TestSampleParams:
             assert p.octaves in (2, 3, 4, 5)
             assert LACUNARITY_RANGE[0] <= p.lacunarity <= LACUNARITY_RANGE[1]
             assert PERSISTENCE_RANGE[0] <= p.persistence <= PERSISTENCE_RANGE[1]
+
+
+def _shuffled_reference(items, seed):
+    """The Fisher-Yates walk of rng's docstring, one splitmix64_at call per draw."""
+    out = list(items)
+    draw = 0
+    for i in range(len(out) - 1, 0, -1):
+        j = splitmix64_at(seed, draw) % (i + 1)
+        draw += 1
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([0, 1, 2, 7, 256]),
+    st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+)
+def test_shuffled_equals_the_draw_by_draw_walk(n, seed):
+    items = [f"item{k}" for k in range(n)]
+    assert shuffled(items, seed) == _shuffled_reference(items, seed)
+    assert shuffled(tuple(range(n)), seed) == _shuffled_reference(range(n), seed)
