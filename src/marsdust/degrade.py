@@ -27,7 +27,7 @@ from .blas import map_in_order
 from .errors import EstimationError, ManifestError, ValidationError
 from .metrics import tile_dust_scores
 from .noise import NoiseField, PerlinParams, perlin2d, sample_params
-from .raster import Image, list_pngs, load_image, save_image
+from .raster import Image, list_pngs, load_image, row_bands, save_image
 from .rng import mix64, shuffled
 
 logger = logging.getLogger(__name__)
@@ -136,12 +136,17 @@ def check_blend_inputs(img: Image, light: AtmosphericLight, tmap: NoiseField | N
 
 
 def synthesize_dusty(img: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
-    """Blend the clean image toward the atmospheric light, weighted by 1 - T."""
-    low = check_blend_inputs(img, light, tmap)
-    out = img.data * tmap.data
-    out += low * (1.0 - tmap.data)
-    np.clip(out, 0.0, 1.0, out=out)
-    return Image(out)
+    """Blend the clean image toward the atmospheric light, weighted by 1 - T, in
+    row bands of the flat (H, W * C) view; only the output is frame-sized."""
+    low = np.tile(check_blend_inputs(img, light, tmap), img.width)
+    flat = img.data.reshape(img.height, -1)
+    out = np.empty_like(flat)
+    for band in row_bands(*flat.shape):
+        t = np.repeat(tmap.values[band], img.channels, axis=1)
+        o = np.multiply(flat[band], t, out=out[band])
+        o += low * (1.0 - t)
+        np.clip(o, 0.0, 1.0, out=o)
+    return Image(out.reshape(img.data.shape))
 
 
 def auto_select_dusty_patches(img: Image) -> list[Image]:

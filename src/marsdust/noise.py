@@ -14,11 +14,12 @@ permutation, gx[i] = _GRADS[table[i & 255] & 7, 0] and gy likewise, so corner
 lattice row iy: a band gathers gx * dx and gy once per lattice row it touches,
 copies them to its pixel rows, and adds gy * dy per pixel.
 
-Fields are computed in bands of about _BAND_PIXELS pixels (whole rows), each
-summing every octave before the next band starts, so an octave's temporaries
-stay in cache.  Banding changes only the order pixels are visited: each value
-is a pure per-pixel function of (params, x, y), and a crop of a field equals
-the field of the cropped size, bit for bit.
+Fields are computed in raster.row_bands, each summing every octave before
+the next band starts, so an octave's temporaries stay in cache; the sum
+starts from octave 0, whose weight persistence**0 is exactly 1.  Banding
+changes only the order pixels are visited: each value is a pure per-pixel
+function of (params, x, y), and a crop of a field equals the field of the
+cropped size, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .raster import Image
+from .raster import BAND_VALUES as _BAND_PIXELS, Image, row_bands  # test_noise reads _BAND_PIXELS
 from .rng import mix64, shuffled, splitmix64_at, u01
 
 _GRADS = np.array(
@@ -81,12 +82,6 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
-# Pixels per band, rounded down to whole rows (at least one).  One float64
-# temporary is then 128 KiB, which keeps a band's working set in L2.  Swept
-# from 4K to 64K at 512x512: flat from 8K to 32K, slower at 4K and 64K.
-_BAND_PIXELS = 16_384
-
-
 def _axis_terms(coords: np.ndarray) -> tuple[np.ndarray, ...]:
     """Lattice index, fraction, fraction - 1 and fade weight of 1-D coordinates."""
     i = np.floor(coords).astype(np.intp)
@@ -127,14 +122,14 @@ def _lerp_into(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return b
 
 
-def _raw_octave(gx, gy, cols, rows, lattice) -> np.ndarray:
-    """Single-octave Perlin over one band; zero at integer lattice points.
+def _raw_octave(gx, gy, cols, rows, lattice, band: slice) -> np.ndarray:
+    """Single-octave Perlin over one row band; zero at integer lattice points.
 
     Works in place on band-sized buffers; each pixel still sees the float
     operations of n00 + u * (n10 - n00) and so on, in the same order.
     """
     px0, px1, xf, xf1, u = cols
-    at, yf, yf1, v = rows
+    at, yf, yf1, v = (r[band] for r in rows)
     q0, q1 = (q[at[0] : at[-1] + 1, None] for q in lattice)  # the lattice rows the band touches
     at = at - at[0]
     n00 = _corner(gx, gy, px0 + q0, xf, at, yf)
@@ -167,19 +162,16 @@ def perlin2d(params: PerlinParams, width: int, height: int) -> NoiseField:
     denom = 0.0
     for octave in range(params.octaves):
         amp = params.persistence**octave
-        octaves.append((amp, *_octave_terms(params, octave, xs, ys)))
+        octaves.append((amp, _octave_terms(params, octave, xs, ys)))
         denom += amp
     values = np.empty((height, width), dtype=np.float64)
-    step = max(1, _BAND_PIXELS // width)
-    for y0 in range(0, height, step):
-        band = slice(y0, y0 + step)
-        total = np.zeros((min(step, height - y0), width), dtype=np.float64)
-        for amp, gx, gy, cols, rows, lattice in octaves:
-            n = _raw_octave(gx, gy, cols, [r[band] for r in rows], lattice)
+    for band in row_bands(height, width):
+        total = _raw_octave(*octaves[0][1], band)
+        for amp, terms in octaves[1:]:
+            n = _raw_octave(*terms, band)
             n *= amp
             total += n
-        values[band] = 0.5 + 0.5 * (total / denom)
-    np.clip(values, 0.0, 1.0, out=values)
+        np.clip(0.5 + 0.5 * (total / denom), 0.0, 1.0, out=values[band])
     return NoiseField(values)
 
 

@@ -2,7 +2,8 @@
 
 An Image wraps a read-only float64 array shaped (height, width, channels)
 with channel-interleaved samples in [0, 1]; channels is 1 or 3.  All
-operations are pure and return new Images.
+operations are pure and return new Images; elementwise work on a frame
+walks its ``row_bands``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,19 @@ import numpy as np
 
 from .errors import ValidationError
 from .pngio import read_png, write_png
+
+
+# Values per row band: one float64 band is 128 KiB, which keeps a band's
+# working set in L2 (swept 4K-64K on 512x512 fields: flat from 8K to 32K).
+BAND_VALUES = 16_384
+
+
+def row_bands(height: int, row_values: int) -> list[slice]:
+    """Whole-row slices of about BAND_VALUES values each (one row at least).
+    The quantizer, the blend, its inverse and Perlin octaves walk them over a
+    flat (height, width * channels) view, so each temporary holds one band."""
+    step = max(1, BAND_VALUES // row_values)
+    return [slice(y, min(y + step, height)) for y in range(0, height, step)]
 
 
 @dataclass(frozen=True)
@@ -72,16 +86,21 @@ def list_pngs(directory) -> list[Path]:
 def load_image(path) -> Image:
     """Load an 8- or 16-bit gray/RGB PNG, scaling samples to [0, 1]."""
     samples, depth = read_png(path)
-    data = samples.astype(np.float64)
-    data /= 255.0 if depth == 8 else 65535.0
-    return Image(data)
+    return Image(np.divide(samples, 255.0 if depth == 8 else 65535.0, dtype=np.float64))
 
 
 def save_image(img: Image, path, bit_depth: int = 8) -> None:
-    """Quantize (round-half-up) and write a PNG decodable by load_image."""
+    """Quantize (round-half-up, band by band through one float buffer) and
+    write a PNG decodable by load_image."""
     if bit_depth not in (8, 16):
         raise ValidationError(f"bit_depth must be 8 or 16, got {bit_depth}")
     maxval = 255 if bit_depth == 8 else 65535
-    q = img.data * maxval
-    q += 0.5
-    write_png(path, np.floor(q, out=q).astype(np.uint8 if bit_depth == 8 else np.uint16), bit_depth)
+    flat = img.data.reshape(img.height, -1)
+    samples = np.empty(flat.shape, np.uint8 if bit_depth == 8 else np.uint16)
+    bands = row_bands(*flat.shape)
+    buf = np.empty_like(flat[bands[0]])
+    for band in bands:
+        q = np.multiply(flat[band], maxval, out=buf[: band.stop - band.start])
+        q += 0.5
+        samples[band] = np.floor(q, out=q)
+    write_png(path, samples.reshape(img.data.shape), bit_depth)

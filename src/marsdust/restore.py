@@ -31,20 +31,21 @@ from .degrade import (
 from .errors import EstimationError, ValidationError, WeightsFormatError
 from .metrics import channel_min, min_filter2d
 from .noise import NoiseField
-from .raster import Image
+from .raster import Image, row_bands
 
 T_FLOOR = 0.05
 
 
 def invert_degradation(H: Image, tmap: NoiseField, light: AtmosphericLight) -> Image:
-    """Invert the forward blend; output clamped to [0, 1]."""
-    low = check_blend_inputs(H, light, tmap)
-    t = np.maximum(tmap.data, T_FLOOR)
-    out = low * (1.0 - t)
-    np.subtract(H.data, out, out=out)
-    out /= t
-    np.clip(out, 0.0, 1.0, out=out)
-    return Image(out)
+    """Invert the forward blend, in row bands as synthesize_dusty; output clamped to [0, 1]."""
+    low = np.tile(check_blend_inputs(H, light, tmap), H.width)
+    flat = H.data.reshape(H.height, -1)
+    out = np.empty_like(flat)
+    for band in row_bands(*flat.shape):
+        t = np.repeat(np.maximum(tmap.values[band], T_FLOOR), H.channels, axis=1)
+        o = np.subtract(flat[band], low * (1.0 - t), out=out[band])
+        np.clip(np.divide(o, t, out=o), 0.0, 1.0, out=o)
+    return Image(out.reshape(H.data.shape))
 
 
 def estimate_transmission(

@@ -18,11 +18,13 @@ bit-identical outputs.  The exact recipes are part of the package contract:
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _finalize(z: int) -> int:
+def _finalize(z):  # an int, or a uint64 array whose products wrap by themselves
     z &= _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -47,9 +49,9 @@ def u01(seed: int, index: int) -> float:
 def shuffled(items: list, seed: int) -> list:
     """Return a new list with ``items`` permuted by a seeded Fisher-Yates walk."""
     out = list(items)
-    draw = 0
-    for i in range(len(out) - 1, 0, -1):
-        j = splitmix64_at(seed, draw) % (i + 1)
-        draw += 1
+    n = len(out)
+    z = np.arange(1, n, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(seed & _MASK)
+    draws = _finalize(z) % np.arange(n, 1, -1, dtype=np.uint64)  # splitmix64_at(seed, k) % (n - k)
+    for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
         out[i], out[j] = out[j], out[i]
     return out

@@ -1,10 +1,13 @@
 """The elementwise frame work -- the forward blend, its inverse and the PNG
-quantizer -- against whole-frame references written here, bit for bit.
+quantizer -- against whole-frame references written here, bit for bit, and
+its memory on a 512x512 RGB frame.
 
 The references are the formulas over whole (H, W, C) frames with T shaped
 (H, W, 1).  The shapes cross the row bands: one row of RGB 2x5462 or gray
 3x16385 holds more values than a band.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,3 +68,34 @@ def test_saved_samples_equal_the_whole_frame_quantizer(tmp_path, h, w, c, depth)
     samples, got_depth = read_png(tmp_path / "q.png")
     assert got_depth == depth and samples.dtype == want.dtype
     assert samples.shape == (h, w, c) and samples.tobytes() == want.tobytes()
+
+
+def _peak(fn, *args) -> int:
+    fn(*args)  # imports and first-use state outside the trace
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def frame_512():
+    return _frames(512, 512, 3, seed=5)
+
+
+@pytest.mark.parametrize("fn", [synthesize_dusty, invert_degradation], ids=["synthesize", "invert"])
+def test_blend_peaks_at_its_output_size(frame_512, fn):
+    # the output Image is the one frame-sized array; T and the light live in bands
+    out_bytes = frame_512[0].data.nbytes
+    peak = _peak(fn, *frame_512)
+    assert peak <= 1.1 * out_bytes, peak / out_bytes
+
+
+@pytest.mark.parametrize("depth,bound", [(8, 0.75), (16, 1.8)])
+def test_save_peaks_below_the_float_frame(tmp_path, frame_512, depth, bound):
+    # the quantizer goes through one band-sized float buffer into the integer samples
+    img = frame_512[0]
+    peak = _peak(save_image, img, tmp_path / "m.png", depth)
+    assert peak <= bound * img.data.nbytes, peak / img.data.nbytes
