@@ -2,8 +2,7 @@
 
 An Image wraps a read-only float64 array shaped (height, width, channels)
 with channel-interleaved samples in [0, 1]; channels is 1 or 3.  All
-operations are pure and return new Images; elementwise work on a frame
-walks its ``row_bands``.
+operations are pure and return new Images.
 """
 
 from __future__ import annotations
@@ -86,7 +85,9 @@ def list_pngs(directory) -> list[Path]:
 def load_image(path) -> Image:
     """Load an 8- or 16-bit gray/RGB PNG, scaling samples to [0, 1]."""
     samples, depth = read_png(path)
-    return Image(np.divide(samples, 255.0 if depth == 8 else 65535.0, dtype=np.float64))
+    data = samples.astype(np.float64)
+    data /= 255.0 if depth == 8 else 65535.0
+    return Image(data)
 
 
 def save_image(img: Image, path, bit_depth: int = 8) -> None:
